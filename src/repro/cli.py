@@ -174,6 +174,18 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
                              "the store already holds them")
 
 
+def _model_names(value: str) -> str:
+    """argparse type for ``--model``/``--models``: every comma-separated
+    name must be registered; the value passes through unchanged."""
+    names = [n.strip() for n in value.split(",") if n.strip()]
+    unknown = [n for n in names if n not in available_baselines()]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown model {', '.join(map(repr, unknown)) or repr(value)}"
+            f"; available: {', '.join(available_baselines())}")
+    return value
+
+
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     """Build a TrainConfig from the generated flags — every field, not a
     hand-copied subset."""
@@ -780,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train one model on one market")
     _add_train_options(train)
-    train.add_argument("--model", default="RT-GCN (T)",
+    train.add_argument("--model", default="RT-GCN (T)", type=_model_names,
                        help="model name (see `models`)")
     train.add_argument("--checkpoint", default=None,
                        help="write a final RT-GCN checkpoint here")
@@ -810,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare several models")
     _add_train_options(compare)
-    compare.add_argument("--models",
+    compare.add_argument("--models", type=_model_names,
                          default="Rank_LSTM,RSR_E,RT-GCN (T)",
                          help="comma-separated model names")
     compare.add_argument("--runs", type=int, default=3,
@@ -832,6 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--markets", default="nasdaq-mini",
                        help="comma-separated market presets")
     sweep.add_argument("--models", default="Rank_LSTM,RSR_E,RT-GCN (T)",
+                       type=_model_names,
                        help="comma-separated model names (see `models`)")
     sweep.add_argument("--runs", type=int, default=3,
                        help="repeated seeded runs per (model, market) "
@@ -960,6 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="profile per-op and per-phase cost of a short run")
     _add_train_options(profile)
     profile.add_argument("--model", default="RT-GCN (T)",
+                         type=_model_names,
                          help="model name (see `models`)")
     profile.add_argument("--top", type=int, default=15,
                          help="rows of the op table to print")
@@ -974,8 +988,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: subcommands whose flags build a TrainConfig
+_TRAIN_COMMANDS = ("train", "compare", "sweep", "profile")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in _TRAIN_COMMANDS:
+        # TrainConfig validation is the gate; a value it rejects is a
+        # usage error (exit 2), not a traceback.
+        try:
+            _config_from_args(args)
+        except ValueError as exc:
+            parser.error(f"{args.command}: {exc}")
     handlers = {
         "markets": cmd_markets,
         "models": cmd_models,

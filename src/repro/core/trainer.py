@@ -100,6 +100,10 @@ class TrainConfig:
     dist_workers: int = 0
     dist_days_per_step: int = 4
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+
 
 @dataclass
 class TrainResult:

@@ -9,6 +9,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..tensor import Tensor, conv1d
+from ..tensor.fused import conv1d_fused, fused_enabled
 from . import init
 from .module import Module, Parameter
 from .random import get_rng
@@ -46,8 +47,9 @@ class Conv1d(Module):
         return self.weight
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv1d(x, self._weight(), self.bias, stride=self.stride,
-                      padding=self.padding, dilation=self.dilation)
+        conv = conv1d_fused if fused_enabled() else conv1d
+        return conv(x, self._weight(), self.bias, stride=self.stride,
+                    padding=self.padding, dilation=self.dilation)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.in_channels}, "

@@ -3,10 +3,10 @@
 :class:`OpProfiler` instruments every primitive of :mod:`repro.tensor` —
 the ``Tensor`` operator methods, the module-level graph functions
 (``concat``, ``stack``, ``where``, ``maximum``, ``einsum``), the sparse
-primitives (``spmm``, ``sddmm``, segment ops) and the conv1d window
-gather — and records, per primitive and per pass (forward / backward):
-call count, wall-clock seconds, and the bytes of the array each call
-produced.
+primitives (``spmm``, ``sddmm``, segment ops), the fused kernels and the
+composed conv1d's window gather — and records, per primitive and per
+pass (forward / backward): call count, wall-clock seconds, and the bytes
+of the array each call produced.
 
 The instrumentation is installed by *patching*: while a profiler is active
 the primitive attributes are replaced with timing wrappers, and on exit the
@@ -81,6 +81,7 @@ _FUSED_PRIMITIVES: Dict[str, str] = {
     "lstm_cell_fused": "lstm_cell_fused",
     "gru_cell_fused": "gru_cell_fused",
     "gcn_propagate_fused": "gcn_propagate_fused",
+    "conv1d_fused": "conv1d_fused",
 }
 
 #: arena counters whose install→report deltas the profiler exposes.
@@ -214,8 +215,9 @@ class OpProfiler:
                             self._patches.append((module, key, value))
                             setattr(module, key, replacement)
 
-        # The conv1d sliding-window gather has a bespoke scatter backward
-        # that dominates convolution cost; profile it as its own primitive.
+        # The composed conv1d's sliding-window gather has a bespoke scatter
+        # backward; profile it as its own primitive.  The fused path
+        # (conv1d_fused, above) does its gather inside its one node.
         original = _ops_module._extract_windows
         self._patches.append((_ops_module, "_extract_windows", original))
         _ops_module._extract_windows = self._wrap(original, "conv1d_window")

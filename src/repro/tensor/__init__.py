@@ -10,9 +10,9 @@ from .arena import (arena, arena_enabled, arena_stats, clear_arena,
                     enable_arena, reset_arena)
 from .dtype import (DtypePolicy, accum_dtype, default_dtype, dtype_policy,
                     get_dtype_policy, set_default_dtype)
-from .fused import (affine_act_fused, fused_enabled, fused_kernels,
-                    gcn_propagate_fused, gru_cell_fused, lstm_cell_fused,
-                    set_fused_enabled)
+from .fused import (affine_act_fused, conv1d_fused, fused_enabled,
+                    fused_kernels, gcn_propagate_fused, gru_cell_fused,
+                    lstm_cell_fused, set_fused_enabled)
 from .grad_mode import (enable_grad, inference_mode, is_grad_enabled,
                         no_grad, set_grad_enabled, tape_node_count)
 from .gradcheck import gradcheck, numerical_gradient
@@ -32,7 +32,7 @@ __all__ = [
     "clear_arena",
     "fused_kernels", "set_fused_enabled", "fused_enabled",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
-    "gcn_propagate_fused",
+    "gcn_propagate_fused", "conv1d_fused",
     "SparsePattern", "SparseTensor", "spmm", "sddmm", "sparse_gather",
     "sparse_segment_sum",
     "no_grad", "enable_grad", "inference_mode", "is_grad_enabled",

@@ -3,9 +3,9 @@
 The autograd engine's per-node Python dispatch dominates small-op chains:
 an LSTM cell alone records ~20 tape nodes per step.  Each fused op below
 collapses one such chain (affine+activation, a full LSTM/GRU cell, GCN
-propagation) into one or two nodes with a closed-form backward, cutting
-tape length and intermediate materialization on both dense and sparse
-graph modes.
+propagation, the Eq. 6 temporal convolution) into one or two nodes with a
+closed-form backward, cutting tape length and intermediate
+materialization on both dense and sparse graph modes.
 
 Equivalence contract
 --------------------
@@ -29,17 +29,18 @@ buffer is recycled as soon as the closure returns); cross-node stashes
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from .ops import _conv1d_geometry, _tap_slices, conv1d
 from .sparse import SparseTensor, _csr_matmul, _sampled_inner
 from .tensor import Tensor, _unbroadcast, ensure_tensor
 
 __all__ = [
     "set_fused_enabled", "fused_enabled", "fused_kernels",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
-    "gcn_propagate_fused",
+    "gcn_propagate_fused", "conv1d_fused",
 ]
 
 _enabled = True
@@ -338,6 +339,83 @@ def gcn_propagate_fused(x: Tensor, adj, weight: Tensor,
                 bias._accumulate(_unbroadcast(dpre, bias.shape))
 
         parents = (x, weight, adj)
+    if bias is not None:
+        parents = parents + (bias,)
+    return x._make_child(out_data, parents, backward)
+
+
+# ----------------------------------------------------------------------
+# fused temporal convolution (Eq. 6)
+# ----------------------------------------------------------------------
+def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+                 stride: int = 1, padding: Union[int, Tuple[int, int]] = 0,
+                 dilation: int = 1) -> Tensor:
+    """``ops.conv1d`` as one im2col GEMM tape node.
+
+    Replaces the composed pad → window gather → ``einsum("bilk,oik->bol")``
+    → bias reshape → add chain (5 nodes → 1).  The forward gathers the
+    ``k`` taps into one ``cols`` buffer ``(C·k, B·L)`` and computes
+    ``W(O, C·k) @ cols``; the backward is ``dW = cols @ g(B·L, O)``,
+    ``dcols = Wᵀ(C·k, O) @ g(O, B·L)`` plus the composed path's strided
+    col2im scatter.
+
+    These are the operand orientations NumPy's ``einsum(optimize=True)``
+    lowers the forward and both VJP contractions to, and the output (and
+    ``dW``) are returned as the same transposed views of the GEMM result.
+    Memory order is part of the equivalence contract: downstream
+    reductions (the bias gradient, the weight-norm backward) sum in memory
+    order, so the same values in another layout can round differently — a
+    C-contiguous ``dW`` alone changes the final loss of a 1100-step
+    nasdaq-mini fit.
+    """
+    x = ensure_tensor(x)
+    weight = ensure_tensor(weight)
+    left, right, out_len = _conv1d_geometry(x.shape, weight.shape, padding,
+                                            stride, dilation)
+    out_ch, in_ch, k = weight.shape
+    batch = x.shape[0]
+    if batch == 1 or in_ch * k == 1:
+        # Degenerate shapes where NumPy's einsum lowering departs from the
+        # GEMMs below: with no summed index it broadcast-multiplies, and a
+        # singleton batch lets it hand BLAS strided views of the gathered
+        # windows instead of packed copies.  Either changes the result's
+        # bits or layout, so keep the composed path for them.
+        return conv1d(x, weight, bias, stride=stride, padding=padding,
+                      dilation=dilation)
+    padded = x.data
+    if left or right:
+        padded = np.pad(padded, ((0, 0), (0, 0), (left, right)),
+                        constant_values=0.0)
+    taps = _tap_slices(out_len, k, stride, dilation)
+    by_channel = padded.transpose(1, 0, 2)
+    cols = np.empty((in_ch, k, batch, out_len), dtype=padded.dtype)
+    for j, tap in enumerate(taps):
+        cols[:, j] = by_channel[:, :, tap]
+    cols = cols.reshape(in_ch * k, batch * out_len)
+    out_data = (weight.data.reshape(out_ch, in_ch * k) @ cols).reshape(
+        out_ch, batch, out_len).transpose(1, 0, 2)
+    if bias is not None:
+        bias = ensure_tensor(bias)
+        out_data = out_data + bias.data.reshape(1, -1, 1)
+
+    def backward(grad: np.ndarray) -> None:
+        if weight.requires_grad:
+            g_rows = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
+            dw = (cols @ g_rows).reshape(in_ch, k, out_ch)
+            weight._accumulate(dw.transpose(2, 0, 1))
+        if x.requires_grad:
+            w_cols = weight.data.transpose(1, 2, 0).reshape(in_ch * k, out_ch)
+            g_cols = grad.transpose(1, 0, 2).reshape(out_ch, batch * out_len)
+            dcols = (w_cols @ g_cols).reshape(in_ch, k, batch, out_len)
+            full = np.zeros_like(padded)
+            for j, tap in enumerate(taps):
+                full[:, :, tap] += dcols[:, j].transpose(1, 0, 2)
+            x._accumulate(full[:, :, left:left + x.shape[2]])
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(
+                _unbroadcast(grad, (1, out_ch, 1)).reshape(bias.shape))
+
+    parents: Tuple[Tensor, ...] = (x, weight)
     if bias is not None:
         parents = parents + (bias,)
     return x._make_child(out_data, parents, backward)

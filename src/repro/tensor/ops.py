@@ -1,14 +1,18 @@
 """Functional operations built on the autograd :class:`~repro.tensor.Tensor`.
 
 These compose the primitive ops defined on ``Tensor`` (pad, gather, einsum,
-arithmetic) so each function is differentiable without bespoke backward
-code.  They cover what the paper's models need: softmax attention,
-causal/strided 1-D convolution (the TCN of §IV-C), dropout and utilities.
+arithmetic), so each function differentiates through the primitives' own
+backward rules; only the conv1d window gather has a hand-written
+(slice-based scatter) backward.  They cover what the paper's models need:
+softmax attention, causal/strided 1-D convolution (the TCN of §IV-C),
+dropout and utilities.  ``conv1d`` and ``linear`` are the composed
+references that the single-node kernels of :mod:`repro.tensor.fused`
+(used by ``repro.nn`` layers while fusion is on) must match.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +98,14 @@ def _normalize_padding(padding: Union[int, Tuple[int, int]]) -> Tuple[int, int]:
     return (int(left), int(right))
 
 
+def _tap_slices(out_len: int, kernel: int, stride: int,
+                dilation: int) -> List[slice]:
+    """Per kernel tap, the strided slice of the (padded) input it reads."""
+    return [slice(j * dilation, j * dilation + (out_len - 1) * stride + 1,
+                  stride)
+            for j in range(kernel)]
+
+
 def _extract_windows(x: Tensor, out_len: int, kernel: int, stride: int,
                      dilation: int) -> Tensor:
     """Sliding windows ``(B, C, out_len, kernel)`` over the last axis.
@@ -113,14 +125,34 @@ def _extract_windows(x: Tensor, out_len: int, kernel: int, stride: int,
         if not x.requires_grad:
             return
         full = np.zeros_like(x.data)
-        for j in range(kernel):
-            tap_slice = slice(j * dilation,
-                              j * dilation + (out_len - 1) * stride + 1,
-                              stride)
-            full[:, :, tap_slice] += grad[:, :, :, j]
+        for j, tap in enumerate(_tap_slices(out_len, kernel, stride,
+                                            dilation)):
+            full[:, :, tap] += grad[:, :, :, j]
         x._accumulate(full)
 
     return x._make_child(data, (x,), backward)
+
+
+def _conv1d_geometry(x_shape: Tuple[int, ...], w_shape: Tuple[int, ...],
+                     padding: Union[int, Tuple[int, int]], stride: int,
+                     dilation: int) -> Tuple[int, int, int]:
+    """Validate a conv1d call; return ``(left_pad, right_pad, out_len)``."""
+    if len(x_shape) != 3:
+        raise ValueError("conv1d expects (B, C, L) input, got shape "
+                         f"{x_shape}")
+    if len(w_shape) != 3:
+        raise ValueError("conv1d expects (C_out, C_in, k) weight, got shape "
+                         f"{w_shape}")
+    if x_shape[1] != w_shape[1]:
+        raise ValueError(f"channel mismatch: input has {x_shape[1]}, weight "
+                         f"expects {w_shape[1]}")
+    left, right = _normalize_padding(padding)
+    padded_len = x_shape[2] + left + right
+    span = (w_shape[2] - 1) * dilation + 1
+    if padded_len < span:
+        raise ValueError(f"input length {padded_len} shorter than receptive "
+                         f"span {span}")
+    return left, right, (padded_len - span) // stride + 1
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -147,25 +179,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """
     x = ensure_tensor(x)
     weight = ensure_tensor(weight)
-    if x.ndim != 3:
-        raise ValueError(f"conv1d expects (B, C, L) input, got shape {x.shape}")
-    if weight.ndim != 3:
-        raise ValueError("conv1d expects (C_out, C_in, k) weight, got shape "
-                         f"{weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(f"channel mismatch: input has {x.shape[1]}, weight "
-                         f"expects {weight.shape[1]}")
-    left, right = _normalize_padding(padding)
-    k = weight.shape[2]
+    left, right, out_len = _conv1d_geometry(x.shape, weight.shape, padding,
+                                            stride, dilation)
     if left or right:
         x = x.pad(((0, 0), (0, 0), (left, right)))
-    padded_len = x.shape[2]
-    span = (k - 1) * dilation + 1
-    if padded_len < span:
-        raise ValueError(f"input length {padded_len} shorter than receptive "
-                         f"span {span}")
-    out_len = (padded_len - span) // stride + 1
-    windows = _extract_windows(x, out_len, k, stride, dilation)
+    windows = _extract_windows(x, out_len, weight.shape[2], stride, dilation)
     out = einsum("bilk,oik->bol", windows, weight)
     if bias is not None:
         out = out + ensure_tensor(bias).reshape(1, -1, 1)

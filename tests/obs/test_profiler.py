@@ -5,8 +5,9 @@ import pytest
 
 import repro.tensor.ops as ops
 from repro.core import RTGCN, TrainConfig, Trainer
+from repro.nn import CausalConv1d
 from repro.obs import OpProfiler, active_profiler
-from repro.tensor import Tensor
+from repro.tensor import Tensor, fused_kernels
 
 
 def small_graph():
@@ -39,15 +40,28 @@ class TestRecording:
         assert prof.records[("mul", "forward")].count == 5
 
     def test_conv1d_attributes_window_gather(self):
-        with OpProfiler() as prof:
+        # The composed reference path (fusion off) gathers windows and
+        # contracts them with einsum.
+        with fused_kernels(False), OpProfiler() as prof:
             x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 12)),
                        requires_grad=True)
-            w = Tensor(np.random.default_rng(1).normal(size=(4, 3, 3)),
-                       requires_grad=True)
-            ops.conv1d(x, w, padding=(2, 0)).sum().backward()
+            conv = CausalConv1d(3, 4, 3, rng=np.random.default_rng(1))
+            conv(x).sum().backward()
         assert ("conv1d_window", "forward") in prof.records
         assert ("conv1d_window", "backward") in prof.records
         assert ("einsum", "backward") in prof.records
+        assert ("conv1d_fused", "forward") not in prof.records
+
+    def test_fused_conv1d_is_one_attributed_node(self):
+        with fused_kernels(True), OpProfiler() as prof:
+            x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 12)),
+                       requires_grad=True)
+            conv = CausalConv1d(3, 4, 3, rng=np.random.default_rng(1))
+            conv(x).sum().backward()
+        assert prof.records[("conv1d_fused", "forward")].count == 1
+        assert prof.records[("conv1d_fused", "backward")].count == 1
+        assert not any(op in ("conv1d_window", "einsum", "pad")
+                       for op, _ in prof.records)
 
     def test_reflected_operators_recorded(self):
         with OpProfiler() as prof:

@@ -310,6 +310,40 @@ class TestConfigSurface:
         args = build_parser().parse_args(["train", "--features", "2"])
         assert _config_from_args(args).num_features == 2
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_trainconfig_rejects_non_positive_epochs(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            TrainConfig(epochs=epochs)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            dataclasses.replace(TrainConfig(), epochs=epochs)
+
+    @pytest.mark.parametrize("command", ["train", "compare", "sweep",
+                                         "profile"])
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_non_positive_epochs_is_a_usage_error(self, capsys, command,
+                                                  epochs):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--epochs", epochs])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{command}: epochs must be >= 1, got {epochs}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "NoSuchNet"],
+        ["profile", "--model", "NoSuchNet"],
+        ["compare", "--models", "LSTM,NoSuchNet"],
+        ["sweep", "--models", "NoSuchNet"],
+    ])
+    def test_unknown_model_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown model 'NoSuchNet'" in err
+        assert "RT-GCN (T)" in err and "Rank_LSTM" in err   # lists names
+        assert "Traceback" not in err and "KeyError" not in err
+
 
 class TestProfileCommand:
     def test_profile_smoke(self, tmp_path, capsys):
