@@ -442,10 +442,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Train briefly with full observability and report where time goes."""
+    import resource
     from dataclasses import asdict
 
     from .obs import (MetricsSink, OpProfiler, RunReport, Tracer,
                       new_run_id, use_tracer)
+    from .tensor import arena_stats
 
     if getattr(args, "sparse", False):
         # `--sparse` forces the CSR backend so the op table attributes
@@ -459,17 +461,28 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     profiler = OpProfiler()
     tracer = Tracer()
+    minflt_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with use_tracer(tracer), profiler:
         predictor = make_predictor(args.model, dataset, seed=args.seed)
         result = predictor.fit_predict(dataset, config)
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt_start
+
+    phases = tracer.snapshot()
+    # Minor page faults of the whole profiled fit+predict per optimizer
+    # step: the allocator's cost, which no op row shows (0.0 for models
+    # that take no steps).
+    steps = phases.get("optimizer_step", {}).get("count", 0)
+    heap = {"heap_retained": arena_stats()["heap_retained"],
+            "minflt_per_step": minflt / steps if steps else 0.0}
 
     print(f"\ntrain {result.train_seconds:.1f}s, "
           f"test {result.test_seconds:.2f}s")
     print(f"\nTop {args.top} ops by wall-clock "
           f"(total {profiler.total_seconds():.2f}s attributed)")
     print(profiler.table(top=args.top))
+    print(f"heap: retained={'yes' if heap['heap_retained'] else 'no'} "
+          f"minflt_per_step={heap['minflt_per_step']:.1f}")
 
-    phases = tracer.snapshot()
     print(f"\n{'phase':16s} {'count':>9s} {'seconds':>10s}")
     print("-" * 37)
     for name, stat in sorted(phases.items(),
@@ -489,7 +502,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
                  "arena_hit_rate": arena["hit_rate"],
                  "arena_hits": arena["hits"],
                  "arena_misses": arena["misses"],
-                 "arena_bytes_reused": arena["bytes_reused"]})
+                 "arena_bytes_reused": arena["bytes_reused"],
+                 **heap})
     if args.json_path is not None:
         import json
         path = Path(args.json_path)

@@ -32,7 +32,7 @@ from ..nn.random import get_rng
 from ..obs.tracer import trace
 from ..optim import Adam, clip_grad_norm_
 from ..tensor import (Tensor, arena, default_dtype, dtype_policy,
-                      fused_kernels, no_grad)
+                      fused_kernels, no_grad, retain_heap)
 from .callbacks import CallbackList, ProgressCallback, TrainerCallback
 from .losses import combined_loss
 
@@ -103,6 +103,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.nan_policy not in ("raise", "ignore", "rollback"):
+            raise ValueError(f"nan_policy must be 'raise', 'ignore' or "
+                             f"'rollback', got {self.nan_policy!r}")
+        if self.graph_mode not in ("auto", "dense", "sparse"):
+            raise ValueError(f"graph_mode must be 'auto', 'dense' or "
+                             f"'sparse', got {self.graph_mode!r}")
+        if self.dist_days_per_step < 1:
+            raise ValueError(f"dist_days_per_step must be >= 1, got "
+                             f"{self.dist_days_per_step}")
 
 
 @dataclass
@@ -153,9 +162,6 @@ class Trainer:
         self.model = model
         self.dataset = dataset
         self.config = config if config is not None else TrainConfig()
-        if self.config.nan_policy not in ("raise", "ignore", "rollback"):
-            raise ValueError(f"nan_policy must be 'raise', 'ignore' or "
-                             f"'rollback', got {self.config.nan_policy!r}")
         if self.config.graph_mode != "auto":
             # Force the configured backend onto every graph module; "auto"
             # leaves the model's own (density-dispatched) modes untouched.
@@ -366,8 +372,13 @@ class Trainer:
         :mod:`repro.dist` data-parallel loop (same callbacks, same
         events; see :func:`repro.dist.fit_distributed` for its two
         restrictions).
+
+        Either loop runs with the process heap retained
+        (:func:`repro.tensor.arena.retain_heap`), set before any dist
+        worker forks so the workers inherit it.
         """
         cfg = self.config
+        retain_heap()
         if cfg.dist_workers:
             from ..dist.trainer import fit_distributed
             return fit_distributed(self, callbacks=callbacks,

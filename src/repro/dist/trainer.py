@@ -80,9 +80,6 @@ def fit_distributed(trainer: Trainer,
             "nan_policy='rollback' is not supported under the distributed "
             "fit loop; use 'raise' or 'ignore' (or train with "
             "dist_workers=0)")
-    if cfg.dist_days_per_step < 1:
-        raise ValueError(f"dist_days_per_step must be >= 1, got "
-                         f"{cfg.dist_days_per_step}")
     n_workers = _resolve_dist_workers(
         cfg.dist_workers if workers is None else workers)
 

@@ -126,10 +126,6 @@ def die_with_parent() -> None:
         pass
 
 
-#: historical spelling, kept for forks of the pool internals
-_die_with_parent = die_with_parent
-
-
 def _worker_main(slot: int, task_conn, event_conn, task_fn: TaskFn) -> None:
     """Worker loop: recv task id, run it, send one event per task.
 

@@ -7,7 +7,7 @@ gradient checking used to validate every model component.
 """
 
 from .arena import (arena, arena_enabled, arena_stats, clear_arena,
-                    enable_arena, reset_arena)
+                    enable_arena, reset_arena, retain_heap)
 from .dtype import (DtypePolicy, accum_dtype, default_dtype, dtype_policy,
                     get_dtype_policy, set_default_dtype)
 from .fused import (affine_act_fused, conv1d_fused, fused_enabled,
@@ -29,7 +29,7 @@ __all__ = [
     "DtypePolicy", "dtype_policy", "set_default_dtype", "get_dtype_policy",
     "default_dtype", "accum_dtype",
     "arena", "enable_arena", "arena_enabled", "arena_stats", "reset_arena",
-    "clear_arena",
+    "clear_arena", "retain_heap",
     "fused_kernels", "set_fused_enabled", "fused_enabled",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
     "gcn_propagate_fused", "conv1d_fused",

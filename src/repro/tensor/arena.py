@@ -16,18 +16,25 @@ or off.  It is disabled by default and switched on by the trainer (see
 Counters (hits, misses, released, bytes_reused, live) are exposed through
 :func:`arena_stats` and surfaced by the ``repro.obs`` profiler and the
 schema-v1 bench telemetry.
+
+The arena pools only backward buffers.  The forward temporaries of a step
+(the im2col ``cols`` of the temporal convolution, the Eq. 5 adjacency
+stack, ...) still go back to the C allocator, and glibc by default trims
+the freed heap top back to the kernel, so the next step faults every page
+in again.  :func:`retain_heap`, called once by ``Trainer.fit``, raises
+glibc's trim and mmap thresholds so those pages stay with the process.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "enable_arena", "arena_enabled", "arena", "arena_stats", "reset_arena",
-    "clear_arena",
+    "clear_arena", "retain_heap",
 ]
 
 _enabled = False
@@ -46,6 +53,20 @@ _hits = 0
 _misses = 0
 _released = 0
 _bytes_reused = 0
+
+# Outcome of the process's one retain_heap() attempt; None until tried.
+_heap_retained: Optional[bool] = None
+
+# glibc <malloc.h> parameter numbers and the values retain_heap() sets.
+# Any mallopt threshold call switches off glibc's dynamic mmap threshold,
+# so both are set: 32 MiB is the ceiling the dynamic threshold would climb
+# to on a 64-bit build (DEFAULT_MMAP_THRESHOLD_MAX), and the trim threshold
+# is twice that.  Setting the trim threshold alone would pin the mmap
+# threshold at its 128 KiB start and mmap every large array instead.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def enable_arena(enabled: bool = True) -> bool:
@@ -133,6 +154,7 @@ def arena_stats() -> Dict[str, int]:
         "live": len(_live),
         "pooled": pooled,
         "pooled_bytes": pooled_bytes,
+        "heap_retained": bool(_heap_retained),
     }
 
 
@@ -147,6 +169,34 @@ def clear_arena() -> None:
     _free.clear()
     _live.clear()
     reset_arena()
+
+
+def retain_heap() -> bool:
+    """Keep freed heap memory with the process; returns whether it took.
+
+    A training step frees the same 100 KB–1 MB NumPy temporaries it
+    allocated, and glibc's default thresholds hand that memory back to the
+    kernel (heap trim, or ``munmap`` of an mmapped block) so the next step
+    zero-fills every page again: ~2,000 minor page faults per RT-GCN (T)
+    step at the Fig. 5 shape.  This sets ``M_MMAP_THRESHOLD`` to 32 MiB and
+    ``M_TRIM_THRESHOLD`` to 64 MiB through ``mallopt`` once per process;
+    later calls return the first outcome.  Forked children inherit the
+    setting.  Without glibc (no ``mallopt``, or it refuses a value) it is a
+    no-op returning False.  Numerics are untouched.
+    """
+    global _heap_retained
+    if _heap_retained is None:
+        try:
+            import ctypes
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            _heap_retained = bool(
+                mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+        except (AttributeError, OSError, TypeError):  # no glibc malloc
+            _heap_retained = False
+    return _heap_retained
 
 
 # A forked child inherits the parent's pooled and live buffers, but any

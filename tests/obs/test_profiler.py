@@ -1,13 +1,17 @@
 """Op profiler: recording, clean install/uninstall, numeric transparency."""
 
+import importlib
+import json
+
 import numpy as np
 import pytest
 
 import repro.tensor.ops as ops
+from repro.cli import main
 from repro.core import RTGCN, TrainConfig, Trainer
 from repro.nn import CausalConv1d
 from repro.obs import OpProfiler, active_profiler
-from repro.tensor import Tensor, fused_kernels
+from repro.tensor import Tensor, fused_kernels, retain_heap
 
 
 def small_graph():
@@ -138,3 +142,39 @@ class TestNumericTransparency:
         losses_on, preds_on = self.run_training(nasdaq_mini, True)
         assert losses_off == losses_on              # bit-identical floats
         assert np.array_equal(preds_off, preds_on)
+
+
+class TestProfileHeapReport:
+    """`repro.cli profile` puts the allocator's page-fault cost next to the
+    arena summary, in the printed footer and the JSON metrics."""
+
+    def profile(self, tmp_path, capsys, model):
+        path = tmp_path / "profile.json"
+        assert main(["profile", "--market", "csi-mini", "--model", model,
+                     "--epochs", "1", "--window", "6",
+                     "--max-train-days", "5", "--top", "3",
+                     "--json", str(path)]) == 0
+        metrics = json.loads(path.read_text())["metrics"]
+        return capsys.readouterr().out, metrics
+
+    def test_fields_in_footer_and_report(self, tmp_path, capsys):
+        out, metrics = self.profile(tmp_path, capsys, "LSTM")
+        # the fit already asked; this call only reads the outcome
+        assert metrics["heap_retained"] is retain_heap()
+        assert isinstance(metrics["minflt_per_step"], float)
+        assert metrics["minflt_per_step"] >= 0.0
+        flag = "yes" if metrics["heap_retained"] else "no"
+        assert (f"heap: retained={flag} "
+                f"minflt_per_step={metrics['minflt_per_step']:.1f}") in out
+
+    def test_reports_an_unretained_heap(self, tmp_path, capsys,
+                                        monkeypatch):
+        arena_module = importlib.import_module("repro.tensor.arena")
+        monkeypatch.setattr(arena_module, "_heap_retained", False)
+        out, metrics = self.profile(tmp_path, capsys, "LSTM")
+        assert metrics["heap_retained"] is False
+        assert "heap: retained=no" in out
+
+    def test_model_without_optimizer_steps(self, tmp_path, capsys):
+        _, metrics = self.profile(tmp_path, capsys, "ARIMA")
+        assert metrics["minflt_per_step"] == 0.0

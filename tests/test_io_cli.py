@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,33 @@ class TestConfigSurface:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"{command}: epochs must be >= 1, got {epochs}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("nan_policy", "shrug", "nan_policy must be 'raise', 'ignore' or "
+                                "'rollback', got 'shrug'"),
+        ("graph_mode", "csr", "graph_mode must be 'auto', 'dense' or "
+                              "'sparse', got 'csr'"),
+        ("dist_days_per_step", 0, "dist_days_per_step must be >= 1, got 0"),
+    ])
+    def test_trainconfig_rejects_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(TrainConfig(), **{field: value})
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--nan-policy", "shrug"], "nan_policy must be"),
+        (["--graph-mode", "csr"], "graph_mode must be"),
+        (["--dist-days-per-step", "0"], "dist_days_per_step must be >= 1"),
+        (["--dist-days-per-step", "-3"], "dist_days_per_step must be >= 1"),
+    ])
+    def test_bad_train_field_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"train: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
