@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..tensor import Tensor, ensure_tensor
+from ..tensor.fused import fused_enabled, l2_penalty_fused
 
 __all__ = ["regression_loss", "ranking_loss", "combined_loss",
            "l2_penalty"]
@@ -55,7 +56,13 @@ def ranking_loss(predicted: Tensor, actual: Tensor) -> Tensor:
 
 
 def l2_penalty(parameters: Iterable[Tensor]) -> Tensor:
-    """‖β‖²: the summed squared norm of all learnable parameters."""
+    """‖β‖²: the summed squared norm of all learnable parameters.
+
+    One tape node while the fused kernels are enabled
+    (:func:`repro.tensor.fused.l2_penalty_fused`).
+    """
+    if fused_enabled():
+        return l2_penalty_fused(parameters)
     total: Optional[Tensor] = None
     for param in parameters:
         term = (param * param).sum()

@@ -33,6 +33,7 @@ from ..obs.tracer import trace
 from ..optim import Adam, clip_grad_norm_
 from ..tensor import (Tensor, arena, default_dtype, dtype_policy,
                       fused_kernels, no_grad, retain_heap)
+from ..tensor.dtype import policy_names
 from .callbacks import CallbackList, ProgressCallback, TrainerCallback
 from .losses import combined_loss
 
@@ -103,6 +104,22 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.num_features < 1:
+            raise ValueError(f"num_features must be >= 1, got "
+                             f"{self.num_features}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got "
+                             f"{self.learning_rate}")
+        # `train_days[-0:]` is the whole split, so 0 must not reach it.
+        if self.max_train_days is not None and self.max_train_days < 1:
+            raise ValueError(f"max_train_days must be None or >= 1, got "
+                             f"{self.max_train_days}")
+        if self.dtype_policy not in policy_names():
+            raise ValueError(f"dtype_policy must be one of "
+                             f"{', '.join(map(repr, policy_names()))}, got "
+                             f"{self.dtype_policy!r}")
         if self.nan_policy not in ("raise", "ignore", "rollback"):
             raise ValueError(f"nan_policy must be 'raise', 'ignore' or "
                              f"'rollback', got {self.nan_policy!r}")

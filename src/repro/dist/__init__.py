@@ -6,9 +6,7 @@ training run without changing its numbers.  The design splits into
 four pieces, each reusable on its own:
 
 - :mod:`~repro.dist.plan` — :class:`ShardPlan`, the pure function from
-  (day order, grouping knobs) to the step/shard schedule, plus the
-  row-block partitioning of the stock graph (:func:`row_blocks`,
-  :func:`block_spmm`) built on the CSR kernels' row-separability;
+  (day order, grouping knobs) to the step/shard schedule;
 - :mod:`~repro.dist.reduce` — :class:`GradReducer`, the frozen fan-in
   tree that pins the floating-point association order of gradient sums;
 - :mod:`~repro.dist.params` — :class:`ParamStore` and
@@ -29,7 +27,7 @@ runs agree to storage-precision tolerance.  See docs/distributed.md.
 """
 
 from .params import GradSlots, ParamStore
-from .plan import Shard, ShardPlan, StepGroup, block_spmm, row_blocks
+from .plan import Shard, ShardPlan, StepGroup
 from .reduce import GradReducer
 from .trainer import DistTrainer, fit_distributed
 from .worker import (ShardExecutor, WorkerContext, compute_shard,
@@ -39,8 +37,6 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "StepGroup",
-    "row_blocks",
-    "block_spmm",
     "GradReducer",
     "ParamStore",
     "GradSlots",

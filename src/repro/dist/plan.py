@@ -8,17 +8,9 @@ reduced — is a pure function of the configuration and the epoch's
 the plan's shards; adding or removing workers reassigns shards to
 processes but never changes the plan itself.
 
-Two partition axes are provided:
-
-- **day shards** (:meth:`ShardPlan.for_days`) — the day-group of one
-  optimizer step split into contiguous single- or multi-day shards,
-  the unit :class:`~repro.dist.worker.ShardExecutor` dispatches;
-- **row blocks** (:func:`row_blocks` / :func:`block_spmm`) — contiguous
-  row ranges of the stock graph.  CSR propagation is row-separable
-  (each output row reads only its own ``indptr`` span), so a row-block
-  spmm computed block-by-block is bitwise-equal to the whole-matrix
-  kernel — the property that makes the sparse kernels safe to
-  partition across processes.
+The partition axis is the day: :meth:`ShardPlan.for_days` splits the
+day-group of one optimizer step into contiguous single- or multi-day
+shards, the unit :class:`~repro.dist.worker.ShardExecutor` dispatches.
 """
 
 from __future__ import annotations
@@ -26,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from ..sparse import CSRMatrix
-from ..tensor.sparse import SparsePattern, _csr_matmul
-
-__all__ = ["Shard", "StepGroup", "ShardPlan", "row_blocks", "block_spmm"]
+__all__ = ["Shard", "StepGroup", "ShardPlan"]
 
 
 @dataclass(frozen=True)
@@ -120,68 +107,3 @@ class ShardPlan:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-# ----------------------------------------------------------------------
-# row-block partitioning of the stock graph
-# ----------------------------------------------------------------------
-def row_blocks(n_rows: int, n_blocks: int) -> List[Tuple[int, int]]:
-    """Split ``[0, n_rows)`` into ``n_blocks`` contiguous ``(start, stop)``
-    ranges, sizes differing by at most one (larger blocks first).
-
-    Deterministic in its arguments; empty trailing blocks are dropped so
-    every returned range is non-empty.
-    """
-    if n_rows < 0:
-        raise ValueError(f"n_rows must be >= 0, got {n_rows}")
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    base, remainder = divmod(n_rows, n_blocks)
-    blocks: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(n_blocks):
-        size = base + (1 if index < remainder else 0)
-        if size == 0:
-            break
-        blocks.append((start, start + size))
-        start += size
-    return blocks
-
-
-def _block_pattern(pattern: SparsePattern,
-                   start: int, stop: int) -> Tuple[SparsePattern, slice]:
-    """The CSR sub-pattern of rows ``[start, stop)`` plus its nnz span."""
-    indptr = pattern.indptr
-    lo, hi = int(indptr[start]), int(indptr[stop])
-    sub = SparsePattern(indptr[start:stop + 1] - lo,
-                        pattern.indices[lo:hi],
-                        (stop - start, pattern.shape[1]))
-    return sub, slice(lo, hi)
-
-
-def block_spmm(matrix: CSRMatrix, dense: np.ndarray,
-               n_blocks: int) -> np.ndarray:
-    """``matrix @ dense`` computed one contiguous row block at a time.
-
-    Each block is an independent call into the shared CSR kernel over a
-    sliced ``indptr`` span, so the result is bitwise-identical to the
-    single-call :meth:`CSRMatrix.matmul` — the segment ops are
-    partition-friendly.  This is the primitive a row-parallel
-    propagation shard runs; the executor's tests pin the bitwise
-    property.
-    """
-    dense = np.asarray(dense, dtype=np.float64)
-    squeeze = dense.ndim == 1
-    if squeeze:
-        dense = dense[:, None]
-    n_rows = matrix.shape[0]
-    parts = []
-    for start, stop in row_blocks(n_rows, n_blocks):
-        sub, span = _block_pattern(matrix.pattern, start, stop)
-        parts.append(_csr_matmul(sub, matrix.data[span], dense))
-    if not parts:
-        out = np.zeros(dense.shape[:-2] + (0, dense.shape[-1]),
-                       dtype=np.float64)
-    else:
-        out = np.concatenate(parts, axis=-2)
-    return out[..., 0] if squeeze else out

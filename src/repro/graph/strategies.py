@@ -44,6 +44,7 @@ from ..nn import init
 from ..nn.module import Module, Parameter
 from ..nn.random import get_rng
 from ..tensor import Tensor, concat, default_dtype, einsum, ensure_tensor
+from ..tensor.fused import fused_enabled, time_adjacency_fused
 from ..tensor.sparse import (SparsePattern, SparseTensor, resolve_graph_mode,
                              sddmm)
 from .adjacency import (normalize_adjacency, normalize_sparse_adjacency,
@@ -250,7 +251,14 @@ class TimeSensitiveStrategy(RelationStrategy):
     def forward(self, features: Optional[Tensor] = None) -> Tensor:
         features = self._check_features(features)
         dim = features.shape[2]
-        if self.resolved_mode() != "sparse":
+        dense = self.resolved_mode() != "sparse"
+        if dense and fused_enabled() and not features.requires_grad:
+            # One tape node; features that require grad (layers >= 2)
+            # keep the composed chain below.
+            adjacency = time_adjacency_fused(
+                features, self._relation_tensor, self._mask_tensor,
+                self.weight, self.bias)
+        elif dense:
             # time-correlation: scaled dot-product X(t) X(t)^T / sqrt(n)
             correlation = (features @ features.swapaxes(-1, -2)) \
                 * (dim ** -0.5)

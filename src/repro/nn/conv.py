@@ -9,7 +9,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..tensor import Tensor, conv1d
-from ..tensor.fused import conv1d_fused, fused_enabled
+from ..tensor.fused import conv1d_fused, fused_enabled, weight_norm_fused
 from . import init
 from .module import Module, Parameter
 from .random import get_rng
@@ -101,6 +101,8 @@ class WeightNormConv1d(Conv1d):
         object.__setattr__(self, "weight", None)
 
     def _weight(self) -> Tensor:
+        if fused_enabled():
+            return weight_norm_fused(self.weight_g, self.weight_v)
         v = self.weight_v
         norm = (v * v).sum(axis=(1, 2), keepdims=True).sqrt()
         return self.weight_g * v / (norm + 1e-12)

@@ -11,7 +11,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor, concat, linear, sigmoid, stack, tanh
+from ..tensor import (Tensor, concat, ensure_tensor, linear, sigmoid, stack,
+                      tanh)
 from ..tensor.fused import fused_enabled, gru_cell_fused, lstm_cell_fused
 from . import init
 from .module import Module, Parameter
@@ -43,8 +44,16 @@ class LSTMCell(Module):
             return lstm_cell_fused(x, h_prev, c_prev, self.weight_ih,
                                    self.weight_hh, self.bias,
                                    self.hidden_size)
-        gates = (linear(x, self.weight_ih)
-                 + linear(h_prev, self.weight_hh) + self.bias)
+        return self._composed_step(x, h_prev, c_prev,
+                                   self.weight_ih.swapaxes(-1, -2),
+                                   self.weight_hh.swapaxes(-1, -2))
+
+    def _composed_step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor,
+                       w_ih_t: Tensor, w_hh_t: Tensor
+                       ) -> Tuple[Tensor, Tensor]:
+        """One composed-op step given the transposed weights."""
+        gates = (ensure_tensor(x) @ w_ih_t
+                 + ensure_tensor(h_prev) @ w_hh_t + self.bias)
         H = self.hidden_size
         i = sigmoid(gates[..., 0 * H:1 * H])
         f = sigmoid(gates[..., 1 * H:2 * H])
@@ -97,9 +106,20 @@ class LSTM(Module):
                 h, c = state
             else:
                 h, c = cell.initial_state(batch)
+            fused = fused_enabled()
+            if not fused:
+                # Transpose each weight once per sequence, so every step's
+                # weight gradient reaches it through one node, in the
+                # reverse-time order the fused cell accumulates in
+                # (bitwise-equal paths under float64).
+                w_ih_t = cell.weight_ih.swapaxes(-1, -2)
+                w_hh_t = cell.weight_hh.swapaxes(-1, -2)
             outputs = []
             for step_x in layer_input:
-                h, c = cell(step_x, (h, c))
+                if fused:
+                    h, c = cell(step_x, (h, c))
+                else:
+                    h, c = cell._composed_step(step_x, h, c, w_ih_t, w_hh_t)
                 outputs.append(h)
             layer_input = outputs
         return stack(layer_input, axis=1), (h, c)

@@ -82,6 +82,9 @@ _FUSED_PRIMITIVES: Dict[str, str] = {
     "gru_cell_fused": "gru_cell_fused",
     "gcn_propagate_fused": "gcn_propagate_fused",
     "conv1d_fused": "conv1d_fused",
+    "time_adjacency_fused": "time_adjacency_fused",
+    "weight_norm_fused": "weight_norm_fused",
+    "l2_penalty_fused": "l2_penalty_fused",
 }
 
 #: arena counters whose install→report deltas the profiler exposes.

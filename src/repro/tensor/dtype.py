@@ -24,7 +24,7 @@ import numpy as np
 
 __all__ = [
     "DtypePolicy", "get_dtype_policy", "set_default_dtype", "dtype_policy",
-    "default_dtype", "accum_dtype", "resolve_dtype",
+    "default_dtype", "accum_dtype", "resolve_dtype", "policy_names",
 ]
 
 
@@ -70,6 +70,11 @@ def _lookup(policy: Union[str, np.dtype, type, DtypePolicy]) -> DtypePolicy:
         raise ValueError(f"unsupported default dtype {policy!r}; expected "
                          "float32 or float64")
     return _POLICIES[name]
+
+
+def policy_names() -> tuple:
+    """The policy names :func:`set_default_dtype` accepts."""
+    return tuple(_POLICIES)
 
 
 def get_dtype_policy() -> DtypePolicy:

@@ -3,8 +3,9 @@
 The autograd engine's per-node Python dispatch dominates small-op chains:
 an LSTM cell alone records ~20 tape nodes per step.  Each fused op below
 collapses one such chain (affine+activation, a full LSTM/GRU cell, GCN
-propagation, the Eq. 6 temporal convolution) into one or two nodes with a
-closed-form backward, cutting tape length and intermediate
+propagation, the Eq. 6 temporal convolution, the Eq. 5 time-sensitive
+adjacency, weight normalization, the Eq. 9 L2 penalty) into one or two
+nodes with a closed-form backward, cutting tape length and intermediate
 materialization on both dense and sparse graph modes.
 
 Equivalence contract
@@ -13,6 +14,10 @@ Every fused forward/backward replicates the *exact* NumPy expression
 sequence of the composed ops it replaces (same operand layouts, same
 association order, same numerically-stable sigmoid), so under the
 ``float64`` policy results are bitwise-identical with fusion on or off;
+a VJP that feeds several parameters accumulates into each of them in the
+order the composed tape would, and hands on arrays in the memory layout
+the composed ops would (the arena-off ``materialize`` copy preserves
+layout, and downstream reductions sum in memory order);
 under ``float32`` they agree to rounding (see ``docs/performance.md``).
 The gradcheck + per-policy equivalence suite in
 ``tests/tensor/test_fused_ops.py`` gates every op.
@@ -29,18 +34,20 @@ buffer is recycled as soon as the closure returns); cross-node stashes
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .ops import _conv1d_geometry, _tap_slices, conv1d
 from .sparse import SparseTensor, _csr_matmul, _sampled_inner
-from .tensor import Tensor, _unbroadcast, ensure_tensor
+from .tensor import (Tensor, _as_array, _sum_data, _unbroadcast,
+                     ensure_tensor)
 
 __all__ = [
     "set_fused_enabled", "fused_enabled", "fused_kernels",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
-    "gcn_propagate_fused", "conv1d_fused",
+    "gcn_propagate_fused", "conv1d_fused", "time_adjacency_fused",
+    "weight_norm_fused", "l2_penalty_fused",
 ]
 
 _enabled = True
@@ -356,8 +363,9 @@ def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     → bias reshape → add chain (5 nodes → 1).  The forward gathers the
     ``k`` taps into one ``cols`` buffer ``(C·k, B·L)`` and computes
     ``W(O, C·k) @ cols``; the backward is ``dW = cols @ g(B·L, O)``,
-    ``dcols = Wᵀ(C·k, O) @ g(O, B·L)`` plus the composed path's strided
-    col2im scatter.
+    ``dcols = Wᵀ(C·k, O) @ g(O, B·L)`` plus a col2im scatter.  Both the
+    tap gather and the scatter work on a zero-edged ``(C, B, L+pad)``
+    buffer, so every tap is a contiguous run along the time axis.
 
     These are the operand orientations NumPy's ``einsum(optimize=True)``
     lowers the forward and both VJP contractions to, and the output (and
@@ -382,13 +390,16 @@ def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         # bits or layout, so keep the composed path for them.
         return conv1d(x, weight, bias, stride=stride, padding=padding,
                       dilation=dilation)
-    padded = x.data
-    if left or right:
-        padded = np.pad(padded, ((0, 0), (0, 0), (left, right)),
-                        constant_values=0.0)
+    length = x.shape[2]
+    padded_len = left + length + right
+    # One zero-edged (C, B, L+pad) copy of the input; the taps are
+    # contiguous row slices of it.
+    by_channel = np.empty((in_ch, batch, padded_len), dtype=x.data.dtype)
+    by_channel[:, :, :left] = 0.0
+    by_channel[:, :, left + length:] = 0.0
+    by_channel[:, :, left:left + length] = x.data.transpose(1, 0, 2)
     taps = _tap_slices(out_len, k, stride, dilation)
-    by_channel = padded.transpose(1, 0, 2)
-    cols = np.empty((in_ch, k, batch, out_len), dtype=padded.dtype)
+    cols = np.empty((in_ch, k, batch, out_len), dtype=x.data.dtype)
     for j, tap in enumerate(taps):
         cols[:, j] = by_channel[:, :, tap]
     cols = cols.reshape(in_ch * k, batch * out_len)
@@ -407,10 +418,14 @@ def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             w_cols = weight.data.transpose(1, 2, 0).reshape(in_ch * k, out_ch)
             g_cols = grad.transpose(1, 0, 2).reshape(out_ch, batch * out_len)
             dcols = (w_cols @ g_cols).reshape(in_ch, k, batch, out_len)
-            full = np.zeros_like(padded)
+            # col2im in the GEMM's (C, B, L) layout, then one transposing
+            # copy: the composed path hands x a C-contiguous (B, C, L)
+            # gradient, and layout carries into later reductions.
+            full = np.zeros((in_ch, batch, padded_len), dtype=x.data.dtype)
             for j, tap in enumerate(taps):
-                full[:, :, tap] += dcols[:, j].transpose(1, 0, 2)
-            x._accumulate(full[:, :, left:left + x.shape[2]])
+                full[:, :, tap] += dcols[:, j]
+            x._accumulate(np.ascontiguousarray(
+                full[:, :, left:left + length].transpose(1, 0, 2)))
         if bias is not None and bias.requires_grad:
             bias._accumulate(
                 _unbroadcast(grad, (1, out_ch, 1)).reshape(bias.shape))
@@ -419,3 +434,124 @@ def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None:
         parents = parents + (bias,)
     return x._make_child(out_data, parents, backward)
+
+
+# ----------------------------------------------------------------------
+# fused time-sensitive adjacency (Eq. 5, dense)
+# ----------------------------------------------------------------------
+def time_adjacency_fused(features: Tensor, relations: Tensor, mask: Tensor,
+                         weight: Tensor, bias: Tensor,
+                         eps: float = 1e-8) -> Tensor:
+    """Eq. (5)'s normalized ``(T, N, N)`` adjacency stack as one tape node.
+
+    Replaces the composed chain of the time-sensitive strategy's dense
+    path (14 nodes): the correlation ``X Xᵀ / √D``, the relation
+    importance ``(𝓐w + b)⊙M``, the second ``⊙M``, and
+    ``normalize_weighted_adjacency`` (``Ã = A + I``, ``D̃ = Σ|Ã| + eps``,
+    ``D̃^-½ Ã D̃^-½``).  The node's parents are ``(weight, bias)``; the
+    features must not require grad (their gradient would interleave with
+    the GCN's and the skip path's contributions, so callers keep the
+    composed path for them).  Only the arrays the VJP reads are kept.
+    """
+    features = ensure_tensor(features)
+    if features.requires_grad:
+        raise ValueError("time_adjacency_fused does not differentiate the "
+                         "features; use the composed path when they "
+                         "require grad")
+    feats = features.data
+    rel, msk = relations.data, mask.data
+    corr = (feats @ feats.swapaxes(-1, -2)) * _as_array(feats.shape[2]
+                                                        ** -0.5)
+    scores = np.einsum("ijk,k->ij", rel, weight.data, optimize=True)
+    matrix = (corr * ((scores + bias.data) * msk) * msk
+              + _as_array(np.eye(feats.shape[1])))
+    degrees = _sum_data(np.abs(matrix), axis=-1) + _as_array(eps)
+    inv_sqrt = degrees ** -0.5
+    rows = np.expand_dims(inv_sqrt, -1)
+    cols = np.expand_dims(inv_sqrt, -2)
+    row_scaled = matrix * rows
+    out_data = row_scaled * cols
+
+    def backward(grad: np.ndarray) -> None:
+        # The composed backward's expressions, in its reverse topological
+        # order: out = row_scaled·cols, row_scaled = matrix·rows, then the
+        # degree chain, whose |Ã| term reaches `matrix` second.
+        g_row_scaled = grad * cols
+        g_cols = _unbroadcast(grad * row_scaled, cols.shape)
+        g_matrix = g_row_scaled * rows
+        g_inv = _unbroadcast(g_row_scaled * matrix,
+                             rows.shape).reshape(inv_sqrt.shape)
+        np.add(g_inv, g_cols.reshape(inv_sqrt.shape), out=g_inv)
+        exponent = -0.5
+        g_degrees = g_inv * exponent * degrees ** (exponent - 1)
+        np.add(g_matrix, np.expand_dims(g_degrees, -1) * np.sign(matrix),
+               out=g_matrix)
+        g_importance = _unbroadcast(g_matrix * msk * corr, msk.shape)
+        g_scores = g_importance * msk
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g_scores, bias.shape))
+        if weight.requires_grad:
+            weight._accumulate(np.einsum("ij,ijk->k", g_scores, rel,
+                                         optimize=True))
+
+    return weight._make_child(out_data, (weight, bias), backward)
+
+
+# ----------------------------------------------------------------------
+# fused weight normalization
+# ----------------------------------------------------------------------
+def weight_norm_fused(g: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
+    """``g · v / (‖v‖ + eps)`` (Salimans & Kingma) as one tape node.
+
+    The norm runs over every axis but the first (one per output filter).
+    Replaces the composed mul → sum → sqrt → add → mul → div chain
+    (6 nodes → 1).  ``v`` accumulates in the composed order: the ``g·v``
+    term first, then the two ``v·v`` terms of the norm.
+    """
+    axes = tuple(range(1, v.ndim))
+    norm = np.sqrt(_sum_data(v.data * v.data, axis=axes, keepdims=True))
+    denom = norm + _as_array(eps)
+    scaled = g.data * v.data
+    out_data = scaled / denom
+
+    def backward(grad: np.ndarray) -> None:
+        g_scaled = grad / denom
+        g_denom = _unbroadcast(-grad * scaled / (denom ** 2), denom.shape)
+        if g.requires_grad:
+            g._accumulate(_unbroadcast(g_scaled * v.data, g.shape))
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(g_scaled * g.data, v.shape))
+            g_square = g_denom * 0.5 / norm * v.data
+            v._accumulate(g_square)
+            v._accumulate(g_square)
+
+    return v._make_child(out_data, (g, v), backward)
+
+
+# ----------------------------------------------------------------------
+# fused L2 penalty (Eq. 9)
+# ----------------------------------------------------------------------
+def l2_penalty_fused(parameters: Iterable[Tensor]) -> Tensor:
+    """``Σ_p Σ p²`` over every parameter as one tape node.
+
+    Replaces the composed per-parameter mul → sum → add chain (3 nodes per
+    parameter).  The sums and the running total are the composed ones
+    (wide accumulation under the mixed policy, as :meth:`Tensor.sum`), and
+    each parameter receives ``grad·p`` twice, as from ``p * p``.
+    """
+    params = list(parameters)
+    if not params:
+        raise ValueError("no parameters supplied to l2_penalty")
+    total = None
+    for param in params:
+        term = _sum_data(param.data * param.data)
+        total = term if total is None else total + term
+
+    def backward(grad: np.ndarray) -> None:
+        for param in params:
+            if param.requires_grad:
+                contribution = grad * param.data
+                param._accumulate(contribution)
+                param._accumulate(contribution)
+
+    return params[0]._make_child(total, tuple(params), backward)

@@ -62,6 +62,21 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _sum_data(data: np.ndarray,
+              axis: Optional[Union[int, Tuple[int, ...]]] = None,
+              keepdims: bool = False) -> np.ndarray:
+    """``data.sum(...)`` as :meth:`Tensor.sum` computes it.
+
+    Under the mixed policy floating reductions accumulate in the wider
+    accumulation dtype and are stored back in ``data``'s dtype.
+    """
+    accum = accum_dtype()
+    if data.dtype.kind == "f" and accum.itemsize > data.dtype.itemsize:
+        return data.sum(axis=axis, keepdims=keepdims,
+                        dtype=accum).astype(data.dtype)
+    return data.sum(axis=axis, keepdims=keepdims)
+
+
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -530,14 +545,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
             keepdims: bool = False) -> "Tensor":
-        accum = accum_dtype()
-        if (self.data.dtype.kind == "f"
-                and accum.itemsize > self.data.dtype.itemsize):
-            # Mixed policy: accumulate reductions wide, store narrow.
-            data = self.data.sum(axis=axis, keepdims=keepdims,
-                                 dtype=accum).astype(self.data.dtype)
-        else:
-            data = self.data.sum(axis=axis, keepdims=keepdims)
+        data = _sum_data(self.data, axis, keepdims)
 
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:

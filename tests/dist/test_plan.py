@@ -1,12 +1,10 @@
-"""ShardPlan: pure-function partitioning; row blocks bitwise-safe."""
+"""ShardPlan: pure-function partitioning."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist import ShardPlan, block_spmm, row_blocks
-from repro.sparse import CSRMatrix
+from repro.dist import ShardPlan
 
 
 class TestShardPlan:
@@ -58,47 +56,3 @@ class TestShardPlan:
         a = ShardPlan.for_days(range(17), 4, 2)
         b = ShardPlan.for_days(range(17), 4, 2)
         assert a == b
-
-
-class TestRowBlocks:
-    def test_sizes_differ_by_at_most_one(self):
-        blocks = row_blocks(10, 3)
-        assert blocks == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_blocks_than_rows(self):
-        assert row_blocks(2, 5) == [(0, 1), (1, 2)]
-        assert row_blocks(0, 3) == []
-
-    @given(n_rows=st.integers(0, 300), n_blocks=st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_blocks_tile_the_range(self, n_rows, n_blocks):
-        blocks = row_blocks(n_rows, n_blocks)
-        cursor = 0
-        for start, stop in blocks:
-            assert start == cursor and stop > start
-            cursor = stop
-        assert cursor == n_rows
-
-
-class TestBlockSpmm:
-    def _random_csr(self, rng, n_rows, n_cols, density=0.2):
-        mask = rng.random((n_rows, n_cols)) < density
-        dense = np.where(mask, rng.standard_normal((n_rows, n_cols)), 0.0)
-        return CSRMatrix.from_dense(dense), dense
-
-    @given(seed=st.integers(0, 2**16), n_blocks=st.integers(1, 7))
-    @settings(max_examples=40, deadline=None)
-    def test_bitwise_equal_to_whole_matrix_kernel(self, seed, n_blocks):
-        rng = np.random.default_rng(seed)
-        matrix, _ = self._random_csr(rng, 13, 11)
-        dense = rng.standard_normal((11, 5))
-        whole = matrix.matmul(dense)
-        blocked = block_spmm(matrix, dense, n_blocks)
-        assert np.array_equal(whole, blocked)      # bitwise, not approx
-
-    def test_vector_rhs(self):
-        rng = np.random.default_rng(0)
-        matrix, _ = self._random_csr(rng, 9, 9)
-        vector = rng.standard_normal(9)
-        assert np.array_equal(matrix.matmul(vector),
-                              block_spmm(matrix, vector, 4))

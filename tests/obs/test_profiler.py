@@ -8,8 +8,10 @@ import pytest
 
 import repro.tensor.ops as ops
 from repro.cli import main
-from repro.core import RTGCN, TrainConfig, Trainer
-from repro.nn import CausalConv1d
+from repro.core import RTGCN, TrainConfig, Trainer, l2_penalty
+from repro.data import load_market
+from repro.graph import TimeSensitiveStrategy
+from repro.nn import CausalConv1d, CausalWeightNormConv1d
 from repro.obs import OpProfiler, active_profiler
 from repro.tensor import Tensor, fused_kernels, retain_heap
 
@@ -65,6 +67,39 @@ class TestRecording:
         assert prof.records[("conv1d_fused", "forward")].count == 1
         assert prof.records[("conv1d_fused", "backward")].count == 1
         assert not any(op in ("conv1d_window", "einsum", "pad")
+                       for op, _ in prof.records)
+
+    def test_fused_time_adjacency_is_one_attributed_node(self):
+        dataset = load_market("csi-mini", seed=0)
+        strategy = TimeSensitiveStrategy(dataset.relations,
+                                         rng=np.random.default_rng(1),
+                                         graph_mode="dense")
+        features = Tensor(np.random.default_rng(0).normal(
+            size=(3, dataset.relations.num_stocks, 4)))
+        with fused_kernels(True), OpProfiler() as prof:
+            strategy(features).sum().backward()
+        assert prof.records[("time_adjacency_fused", "forward")].count == 1
+        assert prof.records[("time_adjacency_fused", "backward")].count == 1
+        assert not any(op in ("einsum", "abs", "pow", "unsqueeze")
+                       for op, _ in prof.records)
+
+    def test_fused_weight_norm_is_one_attributed_node(self):
+        conv = CausalWeightNormConv1d(3, 4, 3, rng=np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 12)))
+        with fused_kernels(True), OpProfiler() as prof:
+            conv(x).sum().backward()
+        assert prof.records[("weight_norm_fused", "forward")].count == 1
+        assert prof.records[("weight_norm_fused", "backward")].count == 1
+        assert not any(op in ("sqrt", "div") for op, _ in prof.records)
+
+    def test_fused_l2_penalty_is_one_attributed_node(self):
+        params = [Tensor(np.ones((3, 2)), requires_grad=True),
+                  Tensor(np.ones(4), requires_grad=True)]
+        with fused_kernels(True), OpProfiler() as prof:
+            l2_penalty(params).backward()
+        assert prof.records[("l2_penalty_fused", "forward")].count == 1
+        assert prof.records[("l2_penalty_fused", "backward")].count == 1
+        assert not any(op in ("mul", "sum", "add")
                        for op, _ in prof.records)
 
     def test_reflected_operators_recorded(self):

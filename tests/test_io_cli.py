@@ -336,6 +336,13 @@ class TestConfigSurface:
         ("graph_mode", "csr", "graph_mode must be 'auto', 'dense' or "
                               "'sparse', got 'csr'"),
         ("dist_days_per_step", 0, "dist_days_per_step must be >= 1, got 0"),
+        ("max_train_days", 0, "max_train_days must be None or >= 1, got 0"),
+        ("window", 0, "window must be >= 1, got 0"),
+        ("num_features", 0, "num_features must be >= 1, got 0"),
+        ("learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+        ("dtype_policy", "float16", "dtype_policy must be one of "
+                                    "'float64', 'float32', 'mixed', got "
+                                    "'float16'"),
     ])
     def test_trainconfig_rejects_bad_field(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -348,6 +355,12 @@ class TestConfigSurface:
         (["--graph-mode", "csr"], "graph_mode must be"),
         (["--dist-days-per-step", "0"], "dist_days_per_step must be >= 1"),
         (["--dist-days-per-step", "-3"], "dist_days_per_step must be >= 1"),
+        (["--max-train-days", "0"], "max_train_days must be None or >= 1"),
+        (["--window", "0"], "window must be >= 1"),
+        (["--features", "0"], "num_features must be >= 1"),
+        (["--learning-rate", "0"], "learning_rate must be > 0"),
+        (["--learning-rate=-1e-3"], "learning_rate must be > 0"),
+        (["--dtype-policy", "float16"], "dtype_policy must be one of"),
     ])
     def test_bad_train_field_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
