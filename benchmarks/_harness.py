@@ -21,7 +21,6 @@ via ``repro.cli db``.
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -29,9 +28,9 @@ import numpy as np
 
 from repro.core import TrainConfig
 from repro.data import StockDataset, load_market
-from repro.eval.speed import SpeedMeasurement
 from repro.store import (JsonSink, ResultSink, StoreSink, TeeSink,
-                         bench_envelope, sanitize_payload, speed_record)
+                         bench_envelope)
+from repro.store import speed_record  # noqa: F401 — benches import it here
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -151,31 +150,6 @@ def publish_result(name: str, payload: dict,
     envelope = bench_envelope(name, payload, settings=bench_settings())
     return (sink if sink is not None else bench_sink()).write_bench(
         name, envelope)
-
-
-def sanitize_json(value):
-    """Deprecated alias of :func:`repro.store.sanitize_payload`."""
-    warnings.warn("benchmarks._harness.sanitize_json is deprecated; use "
-                  "repro.store.sanitize_payload", DeprecationWarning,
-                  stacklevel=2)
-    return sanitize_payload(value)
-
-
-def publish_json(name: str, payload: dict) -> Path:
-    """Deprecated alias of :func:`publish_result` (same file bytes)."""
-    warnings.warn("benchmarks._harness.publish_json is deprecated; use "
-                  "publish_result (ResultSink-backed, same artifact "
-                  "bytes)", DeprecationWarning, stacklevel=2)
-    return publish_result(name, payload)
-
-
-def speed_entry(measurement: SpeedMeasurement,
-                baseline: Optional[SpeedMeasurement] = None) -> dict:
-    """Deprecated alias of :func:`repro.store.speed_record`."""
-    warnings.warn("benchmarks._harness.speed_entry is deprecated; use "
-                  "repro.store.speed_record", DeprecationWarning,
-                  stacklevel=2)
-    return speed_record(measurement, baseline)
 
 
 def checkpoint_telemetry(trainer, directory: Optional[Path] = None) -> dict:

@@ -34,7 +34,6 @@ from .ckpt import (CheckpointCallback, CheckpointManager,
 from .core import RTGCN, TrainConfig, Trainer, TrainResult
 from .data import available_markets, load_market
 from .graph import RelationMatrix, RelationTemporalGraph
-from .io import load_checkpoint, save_checkpoint
 
 __version__ = "1.0.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "RTGCN", "Trainer", "TrainConfig", "TrainResult",
     "load_market", "available_markets",
     "RelationMatrix", "RelationTemporalGraph",
-    "save_checkpoint", "load_checkpoint",
     "TrainingCheckpoint", "CheckpointManager", "CheckpointCallback",
     "__version__",
 ]

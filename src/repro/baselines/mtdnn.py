@@ -103,7 +103,7 @@ class MTDNN(StockPredictor):
         gru = PolicyNetwork(cfg.num_features, self.gru_hidden,
                             rng=np.random.default_rng(self.seed))
         trainer = Trainer(gru, dataset, cfg)
-        trainer.train()
+        trainer.fit()
         train_seconds = time.perf_counter() - start
 
         start = time.perf_counter()

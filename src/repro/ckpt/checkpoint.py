@@ -17,9 +17,9 @@ destination directory, fsynced, and ``os.replace``d into place, so a
 crash mid-write can never leave a half-written file under the final
 name — the worst case is a stale ``*.tmp-*`` file that loaders ignore.
 
-Format version 2 supersedes the parameters-only version 1 of
-:mod:`repro.io`; :func:`read_archive` loads both (v1 archives surface as
-model-only checkpoints with no optimizer/RNG/cursor state).
+Format version 2 supersedes the parameters-only version 1 written by
+earlier releases; :func:`read_archive` loads both (v1 archives surface
+as model-only checkpoints with no optimizer/RNG/cursor state).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ FORMAT_VERSION = 2
 
 _META_KEY = "__meta__"
 _CHECKSUM_KEY = "__checksum__"
-#: the v1 metadata key written by the original ``repro.io`` format
+#: the metadata key of the parameters-only v1 format
 _V1_META_KEY = "__checkpoint_meta__"
 
 _MODEL_PREFIX = "model/"
@@ -196,8 +196,8 @@ def read_archive(path: Union[str, Path]
                  ) -> "tuple[Dict[str, np.ndarray], Dict[str, Any]]":
     """Read and verify an archive: ``(arrays, meta)``.
 
-    Accepts both format v2 (checksummed) and the legacy v1 layout of
-    ``repro.io`` (parameters + ``__checkpoint_meta__``, no checksum).
+    Accepts both format v2 (checksummed) and the legacy v1 layout
+    (parameters + ``__checkpoint_meta__``, no checksum).
     Raises :class:`CheckpointError` with an actionable message when the
     file is missing, unreadable, or fails its checksum.
     """
@@ -218,7 +218,7 @@ def read_archive(path: Union[str, Path]
             "truncated by an interrupted write — delete it and resume from "
             "an older checkpoint") from exc
 
-    if _V1_META_KEY in arrays:                      # legacy repro.io format
+    if _V1_META_KEY in arrays:                      # legacy v1 format
         meta = _decode_meta(path, arrays.pop(_V1_META_KEY))
         meta.setdefault("format_version", 1)
         meta["model"] = sorted(arrays)
@@ -226,8 +226,8 @@ def read_archive(path: Union[str, Path]
 
     if _META_KEY not in arrays:
         raise CheckpointError(f"{path} is not a repro checkpoint (no "
-                              f"metadata entry); it was not written by "
-                              "repro.ckpt or repro.io")
+                              "metadata entry); it was not written by "
+                              "repro.ckpt")
     stored = arrays.pop(_CHECKSUM_KEY, None)
     if stored is None:
         raise CheckpointError(f"checkpoint {path} has no checksum entry; "

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -547,6 +548,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"  loaded: {registry.loaded_versions()}")
     print("  endpoints: /v1/health /v1/models /v1/scores /v1/top_k "
           "/v1/rank /v1/delta /v1/stats /v1/reload")
+    # A server started with `&` from a non-interactive shell inherits
+    # SIGINT as ignored; restore it so `kill -INT` still shuts down
+    # cleanly (and persists the telemetry).
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         handle.serve_forever()
     except KeyboardInterrupt:

@@ -73,7 +73,7 @@ class CallbackList(TrainerCallback):
 
 
 class ProgressCallback(TrainerCallback):
-    """Adapter for the legacy ``progress(epoch, mean_loss)`` callable."""
+    """Calls ``fn(epoch, mean_loss)`` at the end of every epoch."""
 
     def __init__(self, fn: Callable[[int, float], None]):
         self.fn = fn

@@ -34,7 +34,7 @@ from ..optim import Adam, clip_grad_norm_
 from ..tensor import (Tensor, arena, default_dtype, dtype_policy,
                       fused_kernels, no_grad, retain_heap)
 from ..tensor.dtype import policy_names
-from .callbacks import CallbackList, ProgressCallback, TrainerCallback
+from .callbacks import CallbackList, TrainerCallback
 from .losses import combined_loss
 
 #: TrainConfig fields allowed to differ between a checkpoint and the
@@ -291,7 +291,7 @@ class Trainer:
             raise CheckpointError(
                 "cannot resume from a format-v1 (parameters-only) "
                 "checkpoint: it has no optimizer/RNG/cursor state; load "
-                "it with repro.io.load_checkpoint instead")
+                "it with repro.ckpt.load instead")
         if checkpoint.model_class and \
                 checkpoint.model_class != type(self.model).__name__:
             raise CheckpointError(
@@ -561,22 +561,6 @@ class Trainer:
             "nan_policy='rollback' with a CheckpointCallback to recover "
             "automatically")
 
-    def train(self, progress: Optional[Callable[[int, float], None]] = None
-              ) -> List[float]:
-        """Deprecated alias of :meth:`fit`.
-
-        The ``progress(epoch, mean_loss)`` callable is superseded by the
-        :class:`TrainerCallback` protocol; passing one still works but
-        warns.  ``train()`` with no argument simply delegates.
-        """
-        callbacks: List[TrainerCallback] = []
-        if progress is not None:
-            warnings.warn("Trainer.train(progress=...) is deprecated; pass "
-                          "a TrainerCallback to Trainer.fit(callbacks=...) "
-                          "instead", DeprecationWarning, stacklevel=2)
-            callbacks.append(ProgressCallback(progress))
-        return self.fit(callbacks=callbacks)
-
     def _validation_loss(self, days: Sequence[int]) -> float:
         """Mean combined loss over held-out validation days (no grads)."""
         return self.evaluate(days)["loss"]
@@ -627,19 +611,12 @@ class Trainer:
         return np.stack(rows, axis=0)
 
     # ------------------------------------------------------------------
-    def run(self, progress: Optional[Callable[[int, float], None]] = None,
-            callbacks: Optional[Sequence[TrainerCallback]] = None,
+    def run(self, callbacks: Optional[Sequence[TrainerCallback]] = None,
             resume_from: "Any" = None) -> TrainResult:
         """Train, then predict the full test range; timed for Figure 5."""
         cfg = self.config
-        all_callbacks: List[TrainerCallback] = list(callbacks or ())
-        if progress is not None:
-            warnings.warn("Trainer.run(progress=...) is deprecated; pass "
-                          "callbacks=[...] instead", DeprecationWarning,
-                          stacklevel=2)
-            all_callbacks.append(ProgressCallback(progress))
         start = time.perf_counter()
-        epoch_losses = self.fit(callbacks=all_callbacks,
+        epoch_losses = self.fit(callbacks=callbacks,
                                 resume_from=resume_from)
         train_seconds = time.perf_counter() - start
 

@@ -100,7 +100,7 @@ def run_case_study(dataset: StockDataset, model: Optional[RTGCN] = None,
         model = RTGCN(dataset.relations, num_features=cfg.num_features,
                       strategy="time",
                       rng=np.random.default_rng(seed))
-        Trainer(model, dataset, cfg).train()
+        Trainer(model, dataset, cfg).fit()
     chosen = list(subset) if subset is not None \
         else find_connected_clique(dataset, 5)
 

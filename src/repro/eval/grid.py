@@ -146,7 +146,7 @@ def grid_search(factory: Callable[[np.random.Generator, TrainConfig], Module],
         model = factory(fork_rng(seed * 10000 + combo_index), run_config)
         trainer = Trainer(model, dataset, run_config,
                           train_days=train_days)
-        trainer.train()
+        trainer.fit()
         predictions = trainer.predict(valid_days)
         actuals = np.stack([dataset.label(day) for day in valid_days])
         metrics = ranking_metrics(predictions, actuals)

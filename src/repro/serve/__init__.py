@@ -1,6 +1,6 @@
 """repro.serve — micro-batched inference serving for trained checkpoints.
 
-**Construction goes through one blessed path**::
+**Serving is built from one config**::
 
     from repro.serve import ServeConfig, build
 
@@ -9,12 +9,8 @@
 
 :class:`ServeConfig` holds every knob (listener, topology, batching,
 admission control, SLO, hot reload, persistence) and :func:`build`
-wires the whole stack from it.  The pre-PR-8 constructor surface
-(``ModelRegistry(...)``, ``RankingService(...)``, ``serve_forever(...)``
-and friends) had its deprecation release and is now removed: the names
-are gone from this namespace and direct construction raises
-:class:`LegacyRemovedError`; see ``docs/serving.md`` for the migration
-table.
+wires the whole stack from it.  The layer classes below are plain
+classes that live in their submodules, not in this namespace.
 
 The stack, bottom to top:
 
@@ -26,7 +22,8 @@ The stack, bottom to top:
 - :mod:`~repro.serve.batcher` — :class:`MicroBatcher`: coalesce
   concurrent requests into shared forwards;
 - :mod:`~repro.serve.service` — :class:`RankingService`: the
-  scores/top-k/rank/delta facade with timeout fallback;
+  scores/top-k/rank/delta facade with timeout fallback, and the
+  response builders both topologies share;
 - :mod:`~repro.serve.httpd` — the versioned (``/v1/``) stdlib JSON
   endpoint (``repro.cli serve`` / ``repro.cli query`` wrap it);
 - :mod:`~repro.serve.shm` — shared-memory weights with generation-tagged
@@ -41,7 +38,6 @@ See ``docs/serving.md`` for the train → checkpoint → serve → query
 lifecycle.
 """
 
-from ._deprecation import LEGACY, LegacyRemovedError
 from .batcher import BatcherClosedError
 from .client import ClientConnectError, QueryClient, fetch_endpoints
 from .cluster import ClusterError, ServingCluster
@@ -56,7 +52,7 @@ from .stream import StreamIngestor
 from .telemetry import ServingTelemetry
 
 __all__ = [
-    # the blessed construction path
+    # the construction path
     "ServeConfig", "ServeHandle", "build", "SERVE_MODES",
     # cluster serving
     "ServingCluster", "ClusterError",
@@ -69,6 +65,4 @@ __all__ = [
     "BatcherClosedError", "ServingTelemetry", "StreamIngestor",
     "ServableModel",
     "build_servable", "infer_rtgcn_architecture", "resolve_strategy",
-    # removed-constructor bookkeeping
-    "LEGACY", "LegacyRemovedError",
 ]

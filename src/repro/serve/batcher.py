@@ -88,8 +88,6 @@ class MicroBatcher:
                  telemetry: Optional[ServingTelemetry] = None,
                  straggler_poll_ms: Optional[float] = None,
                  idle_poll_ms: Optional[float] = None):
-        from ._deprecation import guard_legacy
-        guard_legacy("MicroBatcher")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 1:

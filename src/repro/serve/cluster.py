@@ -25,8 +25,7 @@ two roles:
   bitwise-identical to a fresh engine on the new checkpoint.
 
 Construction goes through :func:`repro.serve.build` with
-``ServeConfig(mode="cluster")``; this class is not part of the
-deprecated legacy surface.
+``ServeConfig(mode="cluster")``.
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ from urllib.parse import urlparse
 import numpy as np
 
 from ..parallel.pool import WorkerHandle, die_with_parent, fork_available
-from ._deprecation import sanctioned
-from .httpd import (ApiError, classify_exception, deprecation_headers,
-                    error_payload, exception_response, parse_body,
-                    parse_query, query_int, resolve_route)
+from .httpd import (ApiError, classify_exception, exception_response,
+                    execute, parse_query, query_int, resolve_route)
+from .service import ranking_response
 from .shm import SharedWeightReader, SharedWeightStore, adopt_views
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -65,71 +63,20 @@ class ClusterError(RuntimeError):
 # ----------------------------------------------------------------------
 # worker side (runs in the forked child)
 # ----------------------------------------------------------------------
-def _worker_envelope(engine, reader: SharedWeightReader, slot: int,
-                     day: int, **payload: Any) -> Dict[str, Any]:
-    return {"version": engine.servable.version,
-            "model": engine.servable.model_name,
-            "market": engine.dataset.market,
-            "day": day, "stale": False,
-            "generation": reader.generation, "worker": slot, **payload}
-
-
-def _ranks_of(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values), dtype=int)
-    ranks[order] = np.arange(1, len(values) + 1)
-    return ranks
-
-
 def _worker_execute(engine, reader: SharedWeightReader, slot: int,
                     op: str, query: Dict[str, str]) -> Dict[str, Any]:
     """One ranking op against the worker's (shared-weight) engine.
 
-    Mirrors the :class:`RankingService` response envelopes field for
-    field (plus ``generation``/``worker``), so clients cannot tell which
-    serving topology answered — only the transport differs.
+    The body comes from the same :func:`ranking_response` the threaded
+    service uses, plus ``generation``/``worker``, so clients cannot tell
+    which serving topology answered — only the transport differs.
     """
     day = engine.resolve_day(query_int(query, "day"))
-    symbols = engine.dataset.universe.symbols
-    if op == "scores":
-        scores = engine.scores(day)
-        return _worker_envelope(engine, reader, slot, day, scores={
-            symbol: float(score)
-            for symbol, score in zip(symbols, scores)})
-    if op == "top_k":
-        k = query_int(query, "k")
-        k = 10 if k is None else k
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        scores = engine.scores(day)
-        k = min(int(k), len(symbols))
-        order = np.argsort(-scores, kind="stable")[:k]
-        return _worker_envelope(engine, reader, slot, day, k=k, top_k=[
-            {"rank": rank + 1, "symbol": symbols[i],
-             "score": float(scores[i])}
-            for rank, i in enumerate(order)])
-    if op == "rank":
-        scores = engine.scores(day)
-        ranks = _ranks_of(scores)
-        return _worker_envelope(engine, reader, slot, day, ranking=[
-            {"rank": int(ranks[i]), "symbol": symbols[i],
-             "score": float(scores[i])}
-            for i in np.argsort(-scores, kind="stable")])
-    if op == "delta":
-        prior = day - 1
-        if prior < engine.servable.window - 1:
-            raise ValueError(
-                f"day {day} has no prior servable day to diff against")
-        scores, prev_scores = engine.scores(day), engine.scores(prior)
-        today_ranks, prior_ranks = _ranks_of(scores), _ranks_of(prev_scores)
-        deltas = prior_ranks - today_ranks
-        return _worker_envelope(
-            engine, reader, slot, day, prior_day=prior, deltas=[
-                {"symbol": symbols[i], "rank": int(today_ranks[i]),
-                 "prior_rank": int(prior_ranks[i]),
-                 "delta": int(deltas[i]), "score": float(scores[i])}
-                for i in np.argsort(today_ranks, kind="stable")])
-    raise ApiError(404, "not_found", f"worker has no op {op!r}")
+    k = query_int(query, "k") if op == "top_k" else None
+    body = ranking_response(op, engine, day,
+                            lambda d: (engine.scores(d), False), k=k)
+    body.update(generation=reader.generation, worker=slot)
+    return body
 
 
 def _cluster_worker_main(slot: int, task_conn, event_conn,
@@ -153,8 +100,7 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
     reader = SharedWeightReader(base_name)
     reader.refresh()
     adopt_views(servable.model, reader.views())
-    with sanctioned():
-        engine = InferenceEngine(servable)
+    engine = InferenceEngine(servable)
     while True:
         try:
             message = task_conn.recv()
@@ -242,8 +188,7 @@ class ServingCluster:
             return self
         self._started = True
         registry = self.service.registry
-        with sanctioned():
-            self._servable = registry.load(None)
+        self._servable = registry.load(None)
         self._fingerprint = registry.fingerprint(self._servable.version)
         self._shm_store = SharedWeightStore()
         self._shm_store.publish(self._servable.model.state_dict(),
@@ -410,7 +355,7 @@ class ServingCluster:
                         ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
         parsed = urlparse(target)
         query = parse_query(parsed.query)
-        op, canonical, deprecated = resolve_route(parsed.path)
+        op = resolve_route(parsed.path)
         extra: Dict[str, str] = {}
         try:
             if op is None:
@@ -423,14 +368,11 @@ class ServingCluster:
             status = 200
         except Exception as exc:  # noqa: BLE001 — uniform JSON envelope
             status, extra, payload = exception_response(exc)
-        if deprecated:
-            extra.update(deprecation_headers(canonical))
         return status, extra, payload
 
     async def _dispatch_parent(self, op: str, query: Dict[str, str],
                                body: bytes = b"") -> Dict[str, Any]:
         """Registry/metadata/ingest ops answered in the front-end process."""
-        loop = asyncio.get_running_loop()
         if op == "health":
             alive = sum(1 for h in self._handles if h.process.is_alive())
             return {"status": "ok" if alive else "degraded",
@@ -438,13 +380,6 @@ class ServingCluster:
                     "alive": alive,
                     "generation": self._shm_store.current_generation(),
                     "version": self._servable.version}
-        if op == "models":
-            registry = self.service.registry
-            return await loop.run_in_executor(None, lambda: {
-                "directory": str(registry.directory),
-                "loaded": registry.loaded_versions(),
-                "models": [registry.describe(v)
-                           for v in registry.discover()]})
         if op == "stats":
             snap = self.telemetry.snapshot()
             snap["registry"] = self.service.registry.stats()
@@ -463,19 +398,25 @@ class ServingCluster:
             return {"reloaded": generation is not None,
                     "generation": self._shm_store.current_generation(),
                     "version": self._servable.version}
-        if op == "ingest":
-            # The live graph is parent-side state (the process-global
-            # adjacency cache); the delta + re-rank run on an executor
-            # thread so the event loop keeps accepting connections.
-            payload = parse_body(body)
-            version = query.get("version")
-            return await loop.run_in_executor(
-                None, lambda: self.service.ingest(payload, version=version))
-        raise ApiError(404, "not_found", f"no route for op {op!r}")
+        # models/ingest: the threaded server's handlers, run on an
+        # executor thread so the event loop keeps accepting connections
+        # (ingest mutates parent-side state: the process-global
+        # adjacency cache).
+        return await asyncio.get_running_loop().run_in_executor(
+            None, execute, self.service, op, query, body)
 
     async def _dispatch_worker(self, op: str, query: Dict[str, str]
                                ) -> Dict[str, Any]:
-        """Admit one ranking request to the worker queue (or shed it)."""
+        """Admit one ranking request to the worker queue (or shed it).
+
+        The workers hold only the served version's weights, so a
+        ``?version=`` naming any other checkpoint is a 404.
+        """
+        version = query.get("version")
+        if version is not None and version != self._servable.version:
+            raise ApiError(404, "not_found",
+                           f"version {version!r} is not served; this "
+                           f"cluster serves {self._servable.version!r}")
         start = time.perf_counter()
         if not any(h.process.is_alive() for h in self._handles):
             self.telemetry.record_error(op)
@@ -624,10 +565,9 @@ class ServingCluster:
         if fingerprint == self._fingerprint and not force:
             return None
         version = fingerprint[0]
-        with sanctioned():
-            self.service.reload()           # parent-side engine caches
-            registry.evict(version)         # force a fresh archive read
-            servable = registry.load(version)
+        self.service.reload()               # parent-side engine caches
+        registry.evict(version)             # force a fresh archive read
+        servable = registry.load(version)
         published = self._shm_store.publish(servable.model.state_dict(),
                                             version=version)
         self._servable = servable

@@ -1,4 +1,4 @@
-"""ServeConfig + :func:`build` — the one blessed way to stand up serving.
+"""ServeConfig + :func:`build` — the one way to stand up serving.
 
 Historically each layer of :mod:`repro.serve` was constructed by hand:
 a :class:`~repro.serve.registry.ModelRegistry`, then a
@@ -15,10 +15,8 @@ one field-driven dataclass and one factory, mirroring how
     with handle:
         handle.serve_forever()        # or poke handle.service directly
 
-Direct construction of the individual classes raises
-:class:`~repro.serve._deprecation.LegacyRemovedError` — the PR 8
-deprecation shims had their release and are gone.  ``docs/serving.md``
-documents the migration.
+The individual classes are plain classes; :func:`build` composes
+them and is the documented way to construct serving.
 
 ``mode="threaded"`` is the in-process server of PR 4 (thread pool +
 micro-batcher).  ``mode="cluster"`` is the multi-process asyncio
@@ -31,8 +29,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
-
-from ._deprecation import sanctioned
 
 #: serving modes :func:`build` understands
 SERVE_MODES = ("threaded", "cluster")
@@ -255,7 +251,7 @@ class ServeHandle:
 def build(config: ServeConfig) -> ServeHandle:
     """Construct the full serving stack from one :class:`ServeConfig`.
 
-    The only non-deprecated construction path: registry, service,
+    The documented construction path: registry, service,
     batcher, telemetry, and (per ``config.mode``) the threaded HTTP
     server or the multi-process cluster all come from here, already
     wired together.  The returned :class:`ServeHandle` owns their
@@ -266,26 +262,25 @@ def build(config: ServeConfig) -> ServeHandle:
     from .telemetry import ServingTelemetry
 
     telemetry = ServingTelemetry(slo_p99_ms=config.slo_p99_ms)
-    with sanctioned():
-        registry = ModelRegistry(
-            config.checkpoint_dir,
-            memory_budget_bytes=config.memory_budget_bytes,
-            model=config.model, market=config.market, seed=config.seed)
-        service = RankingService(
-            registry, max_batch=config.max_batch,
-            max_wait_ms=config.max_wait_ms, workers=config.batch_workers,
-            default_timeout=config.default_timeout, telemetry=telemetry,
-            straggler_poll_ms=config.straggler_poll_ms,
-            idle_poll_ms=config.idle_poll_ms,
-            tick_budget_ms=config.tick_budget_ms,
-            stream_alpha=config.stream_alpha)
-        if config.mode == "cluster":
-            from .cluster import ServingCluster
+    registry = ModelRegistry(
+        config.checkpoint_dir,
+        memory_budget_bytes=config.memory_budget_bytes,
+        model=config.model, market=config.market, seed=config.seed)
+    service = RankingService(
+        registry, max_batch=config.max_batch,
+        max_wait_ms=config.max_wait_ms, workers=config.batch_workers,
+        default_timeout=config.default_timeout, telemetry=telemetry,
+        straggler_poll_ms=config.straggler_poll_ms,
+        idle_poll_ms=config.idle_poll_ms,
+        tick_budget_ms=config.tick_budget_ms,
+        stream_alpha=config.stream_alpha)
+    if config.mode == "cluster":
+        from .cluster import ServingCluster
 
-            cluster = ServingCluster(config, service=service,
-                                     telemetry=telemetry)
-            return ServeHandle(config, service, telemetry, cluster=cluster)
-        from .httpd import RankingHTTPServer
+        cluster = ServingCluster(config, service=service,
+                                 telemetry=telemetry)
+        return ServeHandle(config, service, telemetry, cluster=cluster)
+    from .httpd import RankingHTTPServer
 
-        server = RankingHTTPServer((config.host, config.port), service)
+    server = RankingHTTPServer((config.host, config.port), service)
     return ServeHandle(config, service, telemetry, server=server)

@@ -38,8 +38,6 @@ class InferenceEngine:
 
     def __init__(self, servable: ServableModel,
                  graph_mode: Optional[str] = None):
-        from ._deprecation import guard_legacy
-        guard_legacy("InferenceEngine")
         self.servable = servable
         self.graph_mode = graph_mode or servable.graph_mode
         self.model = servable.model

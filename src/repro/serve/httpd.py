@@ -17,10 +17,8 @@ API surface:
 =======================  =================================================
 
 Ranking endpoints accept ``?version=<ckpt>&day=<int>`` (defaults: the
-registry's best version, the latest servable day).  The unversioned
-spellings (``/health``, ``/scores``, ...) still answer for one release,
-but carry ``Deprecation: true`` and a ``Link: </v1/...>;
-rel="successor-version"`` header pointing at the canonical path.
+registry's best version, the latest servable day).  Paths outside
+``/v1/`` are ``404 not_found``.
 
 Errors come back as a uniform envelope —
 ``{"error": {"code", "message", "retry_after"}}`` — with a meaningful
@@ -68,26 +66,13 @@ class ApiError(Exception):
         self.type_name: Optional[str] = None
 
 
-def resolve_route(path: str) -> Tuple[Optional[str], str, bool]:
-    """``(op, canonical_path, deprecated)`` for a request path.
-
-    ``op`` is ``None`` for unknown paths.  ``deprecated`` is True when
-    the client used an unversioned spelling; the transport should attach
-    :func:`deprecation_headers` to the response.
-    """
+def resolve_route(path: str) -> Optional[str]:
+    """The API op a request path names, or ``None`` for unknown paths."""
     if path.startswith("/v1/"):
         op = path[len("/v1/"):].strip("/")
-        return (op if op in API_OPS else None), path, False
-    op = path.strip("/")
-    if op in API_OPS:
-        return op, f"/v1/{op}", True
-    return None, path, False
-
-
-def deprecation_headers(canonical_path: str) -> Dict[str, str]:
-    """Headers an unversioned-alias response must carry."""
-    return {"Deprecation": "true",
-            "Link": f'<{canonical_path}>; rel="successor-version"'}
+        if op in API_OPS:
+            return op
+    return None
 
 
 def error_payload(code: str, message: str,
@@ -167,8 +152,8 @@ def execute(service: RankingService, op: str, query: Dict[str, str],
     """Run one canonical op against a :class:`RankingService`.
 
     Shared by the threaded server below; the cluster front-end executes
-    ranking ops in its worker processes instead but delegates the
-    registry-only ops here via its parent-side service.
+    ranking ops in its worker processes instead but delegates ``models``
+    and ``ingest`` here via its parent-side service.
     """
     version = query.get("version")
     day = query_int(query, "day")
@@ -210,8 +195,6 @@ class RankingHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int], service: RankingService):
-        from ._deprecation import guard_legacy
-        guard_legacy("RankingHTTPServer")
         super().__init__(address, _RankingHandler)
         self.service = service
 
@@ -240,7 +223,7 @@ class _RankingHandler(BaseHTTPRequestHandler):
     def _respond(self, body: Optional[bytes] = None) -> None:
         parsed = urlparse(self.path)
         query = parse_query(parsed.query)
-        op, canonical, deprecated = resolve_route(parsed.path)
+        op = resolve_route(parsed.path)
         extra_headers: Dict[str, str] = {}
         try:
             if op is None:
@@ -250,8 +233,6 @@ class _RankingHandler(BaseHTTPRequestHandler):
                                            body=body)
         except Exception as exc:  # noqa: BLE001 — JSON instead of stack dump
             status, extra_headers, payload = exception_response(exc)
-        if deprecated:
-            extra_headers.update(deprecation_headers(canonical))
         body = _json_bytes(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -261,18 +242,3 @@ class _RankingHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-
-def serve_forever(service: RankingService, host: str = "127.0.0.1",
-                  port: int = 8151) -> None:
-    """Blocking entry point used by ``repro.cli serve``."""
-    from ._deprecation import sanctioned, guard_legacy
-    guard_legacy("serve_forever")
-    with sanctioned():
-        server = RankingHTTPServer((host, port), service)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()

@@ -225,8 +225,6 @@ class ModelRegistry:
                  model: Optional[str] = None,
                  market: Optional[str] = None,
                  seed: Optional[int] = None):
-        from ._deprecation import guard_legacy
-        guard_legacy("ModelRegistry")
         self.directory = Path(directory)
         self.memory_budget_bytes = memory_budget_bytes
         self.default_model = model

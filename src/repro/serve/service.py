@@ -9,7 +9,10 @@ ranking operations:
 - :meth:`~RankingService.rank_delta` — day-over-day rank movement.
 
 All four funnel through one micro-batched score path keyed by
-``(version, day)``, so concurrent requests for the same ranking share a
+``(version, day)`` and build their JSON bodies with the module-level
+:func:`ranking_response`, which the cluster workers of
+:mod:`repro.serve.cluster` call too — the two serving topologies answer
+with the same bodies.  Concurrent requests for the same ranking share a
 single forward pass.  Each request carries a deadline; on timeout the
 service degrades to the **last successfully served ranking** for that
 key (marked ``"stale": true``) rather than failing the client — a
@@ -23,11 +26,10 @@ import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ._deprecation import sanctioned, guard_legacy
 from .batcher import MicroBatcher
 from .engine import InferenceEngine
 from .registry import ModelRegistry, RegistryError
@@ -38,6 +40,101 @@ ScoreKey = Tuple[str, int]               # (version, day)
 
 class ServiceTimeoutError(TimeoutError):
     """A request missed its deadline and no fallback ranking existed."""
+
+
+# ----------------------------------------------------------------------
+# response bodies (shared by both serving topologies)
+# ----------------------------------------------------------------------
+def ranks_of(scores: np.ndarray) -> np.ndarray:
+    """Each symbol's rank, 1 = highest score; ties keep symbol order."""
+    order = np.argsort(-scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=int)
+    ranks[order] = np.arange(1, len(scores) + 1)
+    return ranks
+
+
+def envelope(engine: InferenceEngine, day: int, stale: bool,
+             **payload: Any) -> Dict[str, Any]:
+    """The fields every ranking body carries, plus ``payload``."""
+    return {"version": engine.servable.version,
+            "model": engine.servable.model_name,
+            "market": engine.dataset.market,
+            "day": day, "stale": stale, **payload}
+
+
+def ranked(engine: InferenceEngine, scores: np.ndarray,
+           k: Optional[int] = None) -> List[Dict[str, Any]]:
+    """The ``k`` best symbols (default: all), best first, ranks from 1."""
+    symbols = engine.dataset.universe.symbols
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [{"rank": rank + 1, "symbol": symbols[i],
+             "score": float(scores[i])}
+            for rank, i in enumerate(order)]
+
+
+def scores_body(engine: InferenceEngine, day: int, scores: np.ndarray,
+                stale: bool = False) -> Dict[str, Any]:
+    symbols = engine.dataset.universe.symbols
+    return envelope(engine, day, stale, scores={
+        symbol: float(score) for symbol, score in zip(symbols, scores)})
+
+
+def top_k_body(engine: InferenceEngine, day: int, scores: np.ndarray,
+               k: int, stale: bool = False) -> Dict[str, Any]:
+    k = min(int(k), len(scores))
+    return envelope(engine, day, stale, k=k, top_k=ranked(engine, scores, k))
+
+
+def rank_body(engine: InferenceEngine, day: int, scores: np.ndarray,
+              stale: bool = False) -> Dict[str, Any]:
+    return envelope(engine, day, stale, ranking=ranked(engine, scores))
+
+
+def delta_body(engine: InferenceEngine, day: int, scores: np.ndarray,
+               prior_scores: np.ndarray,
+               stale: bool = False) -> Dict[str, Any]:
+    """``delta > 0`` means the symbol climbed since the prior day."""
+    symbols = engine.dataset.universe.symbols
+    today_ranks, prior_ranks = ranks_of(scores), ranks_of(prior_scores)
+    deltas = prior_ranks - today_ranks
+    return envelope(engine, day, stale, prior_day=day - 1, deltas=[
+        {"symbol": symbols[i], "rank": int(today_ranks[i]),
+         "prior_rank": int(prior_ranks[i]), "delta": int(deltas[i]),
+         "score": float(scores[i])}
+        for i in np.argsort(today_ranks, kind="stable")])
+
+
+def ranking_response(op: str, engine: InferenceEngine, day: int,
+                     score: Callable[[int], Tuple[np.ndarray, bool]],
+                     k: Optional[int] = None) -> Dict[str, Any]:
+    """Validate, score and build the body of one ranking op.
+
+    ``op`` is the wire name (``scores``, ``top_k``, ``rank``, ``delta``)
+    and ``day`` is already resolved.  ``score(day)`` returns
+    ``(scores, stale)``: the threaded service routes it through the
+    micro-batcher, a cluster worker calls its engine directly.  Request
+    errors (``k < 1``, a delta with no prior servable day) raise
+    ``ValueError`` before any forward runs.
+    """
+    if op == "top_k":
+        k = 10 if k is None else k
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    elif op == "delta" and day - 1 < engine.servable.window - 1:
+        raise ValueError(
+            f"day {day} has no prior servable day to diff against")
+    elif op not in ("scores", "rank", "delta"):
+        raise ValueError(f"unknown ranking op {op!r}")
+    scores, stale = score(day)
+    if op == "scores":
+        return scores_body(engine, day, scores, stale)
+    if op == "top_k":
+        return top_k_body(engine, day, scores, k, stale)
+    if op == "rank":
+        return rank_body(engine, day, scores, stale)
+    prior_scores, prior_stale = score(day - 1)
+    return delta_body(engine, day, scores, prior_scores,
+                      stale or prior_stale)
 
 
 class RankingService:
@@ -64,34 +161,32 @@ class RankingService:
                  idle_poll_ms: Optional[float] = None,
                  tick_budget_ms: Optional[float] = None,
                  stream_alpha: Optional[float] = None):
-        guard_legacy("RankingService")
-        with sanctioned():
-            if not isinstance(registry, ModelRegistry):
-                registry = ModelRegistry(registry)
-            self.registry = registry
-            self.telemetry = telemetry or ServingTelemetry()
-            self.default_timeout = float(default_timeout)
-            self._engines: Dict[str, InferenceEngine] = {}
-            self._engines_lock = threading.Lock()
-            self._last_served: Dict[ScoreKey, np.ndarray] = {}
-            self._last_served_lock = threading.Lock()
-            self._batcher = MicroBatcher(self._compute_scores,
-                                         max_batch=max_batch,
-                                         max_wait_ms=max_wait_ms,
-                                         workers=workers,
-                                         telemetry=self.telemetry,
-                                         straggler_poll_ms=straggler_poll_ms,
-                                         idle_poll_ms=idle_poll_ms)
-            from .stream import (DEFAULT_STREAM_ALPHA,
-                                 DEFAULT_TICK_BUDGET_MS, StreamIngestor)
-            self._ingestor = StreamIngestor(
-                self,
-                tick_budget_ms=(DEFAULT_TICK_BUDGET_MS
-                                if tick_budget_ms is None
-                                else tick_budget_ms),
-                alpha=(DEFAULT_STREAM_ALPHA if stream_alpha is None
-                       else stream_alpha))
-            self._closed = False
+        if not isinstance(registry, ModelRegistry):
+            registry = ModelRegistry(registry)
+        self.registry = registry
+        self.telemetry = telemetry or ServingTelemetry()
+        self.default_timeout = float(default_timeout)
+        self._engines: Dict[str, InferenceEngine] = {}
+        self._engines_lock = threading.Lock()
+        self._last_served: Dict[ScoreKey, np.ndarray] = {}
+        self._last_served_lock = threading.Lock()
+        self._batcher = MicroBatcher(self._compute_scores,
+                                     max_batch=max_batch,
+                                     max_wait_ms=max_wait_ms,
+                                     workers=workers,
+                                     telemetry=self.telemetry,
+                                     straggler_poll_ms=straggler_poll_ms,
+                                     idle_poll_ms=idle_poll_ms)
+        from .stream import (DEFAULT_STREAM_ALPHA,
+                             DEFAULT_TICK_BUDGET_MS, StreamIngestor)
+        self._ingestor = StreamIngestor(
+            self,
+            tick_budget_ms=(DEFAULT_TICK_BUDGET_MS
+                            if tick_budget_ms is None
+                            else tick_budget_ms),
+            alpha=(DEFAULT_STREAM_ALPHA if stream_alpha is None
+                   else stream_alpha))
+        self._closed = False
 
     # ------------------------------------------------------------------
     # engine / batch plumbing
@@ -103,8 +198,7 @@ class RankingService:
         with self._engines_lock:
             engine = self._engines.get(version)
             if engine is None:
-                with sanctioned():
-                    engine = InferenceEngine(self.registry.load(version))
+                engine = InferenceEngine(self.registry.load(version))
                 self._engines[version] = engine
             return engine
 
@@ -140,15 +234,10 @@ class RankingService:
             self._last_served[key] = scores
         return scores
 
-    def _scores_for(self, op: str, version: Optional[str],
-                    day: Optional[int], timeout: Optional[float]
-                    ) -> Tuple[np.ndarray, InferenceEngine, int, bool]:
-        """``(scores, engine, day, stale)`` via the batched path."""
-        if self._closed:
-            raise RuntimeError("RankingService is closed")
+    def _scores_for(self, op: str, engine: InferenceEngine, day: int,
+                    timeout: Optional[float]) -> Tuple[np.ndarray, bool]:
+        """``(scores, stale)`` for a resolved day via the batched path."""
         start = time.perf_counter()
-        engine = self.engine(version)           # raises RegistryError early
-        day = engine.resolve_day(day)
         key = (engine.servable.version, day)
         depth = self._batcher.depth()
         future = self._batcher.submit(key)
@@ -172,7 +261,21 @@ class RankingService:
             raise
         self.telemetry.record_request(op, time.perf_counter() - start,
                                       queue_depth=depth, fallback=stale)
-        return scores, engine, day, stale
+        return scores, stale
+
+    def _respond(self, op: str, method: str, version: Optional[str],
+                 day: Optional[int], timeout: Optional[float],
+                 k: Optional[int] = None) -> Dict[str, Any]:
+        """:func:`ranking_response` over the batched score path.
+
+        ``method`` names the public method, the op telemetry records.
+        """
+        if self._closed:
+            raise RuntimeError("RankingService is closed")
+        engine = self.engine(version)           # raises RegistryError early
+        return ranking_response(
+            op, engine, engine.resolve_day(day),
+            lambda d: self._scores_for(method, engine, d, timeout), k=k)
 
     # ------------------------------------------------------------------
     # ranking API
@@ -181,43 +284,20 @@ class RankingService:
                        day: Optional[int] = None,
                        timeout: Optional[float] = None) -> Dict[str, Any]:
         """Raw per-symbol scores at ``day`` (default: latest day)."""
-        scores, engine, day, stale = self._scores_for(
-            "predict_scores", version, day, timeout)
-        symbols = engine.dataset.universe.symbols
-        return self._envelope(engine, day, stale, scores={
-            symbol: float(score)
-            for symbol, score in zip(symbols, scores)})
+        return self._respond("scores", "predict_scores", version, day,
+                             timeout)
 
     def top_k(self, k: int = 10, version: Optional[str] = None,
               day: Optional[int] = None,
               timeout: Optional[float] = None) -> Dict[str, Any]:
         """The ``k`` highest-scored symbols, best first."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        scores, engine, day, stale = self._scores_for(
-            "top_k", version, day, timeout)
-        symbols = engine.dataset.universe.symbols
-        k = min(int(k), len(symbols))
-        order = np.argsort(-scores, kind="stable")[:k]
-        return self._envelope(engine, day, stale, k=k, top_k=[
-            {"rank": rank + 1, "symbol": symbols[i],
-             "score": float(scores[i])}
-            for rank, i in enumerate(order)])
+        return self._respond("top_k", "top_k", version, day, timeout, k=k)
 
     def rank_universe(self, version: Optional[str] = None,
                       day: Optional[int] = None,
                       timeout: Optional[float] = None) -> Dict[str, Any]:
         """Every symbol with its rank (1 = best) and score."""
-        scores, engine, day, stale = self._scores_for(
-            "rank_universe", version, day, timeout)
-        symbols = engine.dataset.universe.symbols
-        order = np.argsort(-scores, kind="stable")
-        ranks = np.empty(len(symbols), dtype=int)
-        ranks[order] = np.arange(1, len(symbols) + 1)
-        return self._envelope(engine, day, stale, ranking=[
-            {"rank": int(ranks[i]), "symbol": symbols[i],
-             "score": float(scores[i])}
-            for i in order])
+        return self._respond("rank", "rank_universe", version, day, timeout)
 
     def rank_delta(self, version: Optional[str] = None,
                    day: Optional[int] = None,
@@ -228,33 +308,7 @@ class RankingService:
         yesterday.  The two days' scores go through the same batched
         path, so a burst of delta requests still coalesces.
         """
-        engine = self.engine(version)
-        today = engine.resolve_day(day)
-        prior = today - 1
-        if prior < engine.servable.window - 1:
-            raise ValueError(
-                f"day {today} has no prior servable day to diff against")
-        scores, engine, today, stale_t = self._scores_for(
-            "rank_delta", version, today, timeout)
-        prev_scores, _, _, stale_p = self._scores_for(
-            "rank_delta", version, prior, timeout)
-        symbols = engine.dataset.universe.symbols
-
-        def ranks_of(values: np.ndarray) -> np.ndarray:
-            order = np.argsort(-values, kind="stable")
-            ranks = np.empty(len(values), dtype=int)
-            ranks[order] = np.arange(1, len(values) + 1)
-            return ranks
-
-        today_ranks, prior_ranks = ranks_of(scores), ranks_of(prev_scores)
-        deltas = prior_ranks - today_ranks
-        order = np.argsort(today_ranks, kind="stable")
-        return self._envelope(engine, today, stale_t or stale_p,
-                              prior_day=prior, deltas=[
-            {"symbol": symbols[i], "rank": int(today_ranks[i]),
-             "prior_rank": int(prior_ranks[i]), "delta": int(deltas[i]),
-             "score": float(scores[i])}
-            for i in order])
+        return self._respond("delta", "rank_delta", version, day, timeout)
 
     # ------------------------------------------------------------------
     # streaming ingest
@@ -274,13 +328,6 @@ class RankingService:
         return self._ingestor.ingest(body or {}, version=version)
 
     # ------------------------------------------------------------------
-    def _envelope(self, engine: InferenceEngine, day: int, stale: bool,
-                  **payload: Any) -> Dict[str, Any]:
-        return {"version": engine.servable.version,
-                "model": engine.servable.model_name,
-                "market": engine.dataset.market,
-                "day": day, "stale": stale, **payload}
-
     def stats(self) -> Dict[str, Any]:
         """Telemetry snapshot plus registry/engine/queue state."""
         snap = self.telemetry.snapshot()
@@ -304,4 +351,6 @@ class RankingService:
         self.close()
 
 
-__all__ = ["RankingService", "ServiceTimeoutError", "RegistryError"]
+__all__ = ["RankingService", "ServiceTimeoutError", "RegistryError",
+           "ranking_response", "envelope", "ranked", "ranks_of",
+           "scores_body", "top_k_body", "rank_body", "delta_body"]

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graph import DynamicNormalizedAdjacency, adjacency_cache
+from .service import ranked
 
 #: default per-tick latency budget (graph delta + re-rank), milliseconds
 DEFAULT_TICK_BUDGET_MS = 250.0
@@ -198,12 +199,7 @@ class StreamIngestor:
                 ) -> List[Dict[str, Any]]:
         """Smooth base scores over the live Â and rank the universe."""
         scores = np.asarray(engine.scores(None), dtype=np.float64)
-        smoothed = self._smooth(state.dynamic, scores)
-        symbols = engine.dataset.universe.symbols
-        order = np.argsort(-smoothed, kind="stable")
-        return [{"rank": rank + 1, "symbol": symbols[i],
-                 "score": float(smoothed[i])}
-                for rank, i in enumerate(order)]
+        return ranked(engine, self._smooth(state.dynamic, scores))
 
     def _smooth(self, dynamic: DynamicNormalizedAdjacency,
                 scores: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ not by filename:
   serving / profile telemetry — becomes a ``telemetry`` row keyed by the
   report's ``run_id``;
 - **bench artifacts** (``benchmarks/results/*.json``): the
-  ``publish_json`` envelope (``schema_version`` + ``benchmark``) —
+  ``publish_result`` envelope (``schema_version`` + ``benchmark``) —
   becomes a ``telemetry`` row keyed by ``bench:<name>``.
 
 Every insert is an UPSERT on the natural key, so migration is

@@ -16,8 +16,7 @@ verbs —
 — with three implementations: :class:`StoreSink` (the sqlite store),
 :class:`JsonSink` (the legacy file formats, byte-compatible), and
 :class:`TeeSink` (fan-out, e.g. journal *and* store during migration).
-The old entry points (``publish_json``/``speed_entry`` in the bench
-harness) survive as deprecation shims that delegate here.
+The bench harness's ``publish_result`` writes through it.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class JsonSink(ResultSink):
     - reports → schema-v1 documents via
       :class:`repro.obs.MetricsSink` (``<dir>/<run_id>.json``);
     - bench envelopes → ``<dir>/<name>.json`` with NaN/Inf written as
-      ``null`` (strict JSON, same bytes as the old ``publish_json``).
+      ``null`` (strict JSON).
     """
 
     def __init__(self, directory: Union[str, Path]):

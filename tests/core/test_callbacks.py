@@ -1,10 +1,9 @@
-"""Trainer event API: callback order, the deprecation shim, evaluate()."""
+"""Trainer event API: callback order, progress callbacks, evaluate()."""
 
 import numpy as np
-import pytest
 
-from repro.core import (CallbackList, RTGCN, TrainConfig, Trainer,
-                        TrainerCallback)
+from repro.core import (CallbackList, ProgressCallback, RTGCN, TrainConfig,
+                        Trainer, TrainerCallback)
 
 
 class RecordingCallback(TrainerCallback):
@@ -87,28 +86,30 @@ class TestCallbackOrder:
         assert cb.log.count(("fit_end", len(losses))) == 1
 
 
-class TestDeprecationShim:
-    def test_train_progress_warns_but_still_fires(self, nasdaq_mini):
+class TestProgressCallback:
+    def test_progress_callback_fires_each_epoch(self, nasdaq_mini):
         seen = []
         trainer = make_trainer(nasdaq_mini)
-        with pytest.warns(DeprecationWarning, match="TrainerCallback"):
-            trainer.train(progress=lambda e, loss: seen.append(e))
+        trainer.fit(callbacks=[ProgressCallback(
+            lambda e, loss: seen.append(e))])
         assert seen == [0, 1]
 
-    def test_train_without_progress_does_not_warn(self, nasdaq_mini):
+    def test_fit_without_callbacks_does_not_warn(self, nasdaq_mini):
         import warnings
 
         trainer = make_trainer(nasdaq_mini, epochs=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            losses = trainer.train()
+            losses = trainer.fit()
         assert len(losses) == 1
 
-    def test_run_progress_warns(self, nasdaq_mini):
+    def test_run_forwards_callbacks(self, nasdaq_mini):
+        seen = []
         trainer = make_trainer(nasdaq_mini, epochs=1)
-        with pytest.warns(DeprecationWarning):
-            result = trainer.run(progress=lambda e, loss: None)
+        result = trainer.run(callbacks=[ProgressCallback(
+            lambda e, loss: seen.append(e))])
         assert len(result.epoch_losses) == 1
+        assert seen == [0]
 
 
 class TestEvaluate:

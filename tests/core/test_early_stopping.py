@@ -16,25 +16,25 @@ class TestEarlyStopping:
         cfg = TrainConfig(window=8, epochs=40, max_train_days=50,
                           early_stopping_patience=2, validation_days=12,
                           seed=0)
-        losses = Trainer(make_model(csi_mini), csi_mini, cfg).train()
+        losses = Trainer(make_model(csi_mini), csi_mini, cfg).fit()
         assert len(losses) < 40
 
     def test_disabled_by_default(self, csi_mini):
         cfg = TrainConfig(window=8, epochs=3, max_train_days=15, seed=0)
-        losses = Trainer(make_model(csi_mini), csi_mini, cfg).train()
+        losses = Trainer(make_model(csi_mini), csi_mini, cfg).fit()
         assert len(losses) == 3
 
     def test_requires_positive_validation_days(self, csi_mini):
         cfg = TrainConfig(window=8, epochs=2, early_stopping_patience=1,
                           validation_days=0)
         with pytest.raises(ValueError):
-            Trainer(make_model(csi_mini), csi_mini, cfg).train()
+            Trainer(make_model(csi_mini), csi_mini, cfg).fit()
 
     def test_validation_cannot_exhaust_training(self, csi_mini):
         cfg = TrainConfig(window=8, epochs=2, max_train_days=10,
                           early_stopping_patience=1, validation_days=10)
         with pytest.raises(ValueError):
-            Trainer(make_model(csi_mini), csi_mini, cfg).train()
+            Trainer(make_model(csi_mini), csi_mini, cfg).fit()
 
     def test_best_state_restored(self, csi_mini):
         """After stopping, the model carries the best-validation weights:
@@ -53,6 +53,6 @@ class TestEarlyStopping:
             return value
 
         trainer._validation_loss = spy
-        trainer.train()
+        trainer.fit()
         final = original_eval(csi_mini.split(8)[0][-12:])
         assert np.isclose(final, min(seen), atol=1e-9)

@@ -1,9 +1,8 @@
 """Trainer: loss descent, prediction shapes, determinism, custom losses."""
 
 import numpy as np
-import pytest
 
-from repro.core import RTGCN, TrainConfig, Trainer
+from repro.core import ProgressCallback, RTGCN, TrainConfig, Trainer
 from repro.core.losses import regression_loss
 from repro.tensor import Tensor
 
@@ -19,23 +18,23 @@ class TestTraining:
         model = RTGCN(nasdaq_mini.relations, strategy="uniform",
                       relational_filters=8, dropout=0.0, rng=rng)
         losses = Trainer(model, nasdaq_mini,
-                         quick_config(epochs=4)).train()
+                         quick_config(epochs=4)).fit()
         assert len(losses) == 4
         assert losses[-1] < losses[0]
 
     def test_progress_callback_invoked(self, nasdaq_mini, rng):
         model = RTGCN(nasdaq_mini.relations, relational_filters=4, rng=rng)
         seen = []
-        with pytest.warns(DeprecationWarning):   # legacy hook still works
-            Trainer(model, nasdaq_mini, quick_config(epochs=2)).train(
-                progress=lambda epoch, loss: seen.append((epoch, loss)))
+        Trainer(model, nasdaq_mini, quick_config(epochs=2)).fit(
+            callbacks=[ProgressCallback(
+                lambda epoch, loss: seen.append((epoch, loss)))])
         assert [e for e, _ in seen] == [0, 1]
 
     def test_max_train_days_limits_samples(self, nasdaq_mini, rng):
         model = RTGCN(nasdaq_mini.relations, relational_filters=4, rng=rng)
         trainer = Trainer(model, nasdaq_mini,
                           quick_config(max_train_days=5, epochs=1))
-        losses = trainer.train()
+        losses = trainer.fit()
         assert len(losses) == 1   # smoke: runs with 5 days only
 
     def test_custom_loss_fn_used(self, nasdaq_mini, rng):
@@ -48,7 +47,7 @@ class TestTraining:
 
         Trainer(model, nasdaq_mini, quick_config(epochs=1,
                                                  max_train_days=3),
-                loss_fn=loss_fn).train()
+                loss_fn=loss_fn).fit()
         assert len(calls) == 3
 
 
@@ -92,7 +91,7 @@ class TestDeterminism:
                           dropout=0.0,
                           rng=np.random.default_rng(99))
             cfg = quick_config(epochs=1, seed=seed, max_train_days=10)
-            return Trainer(model, nasdaq_mini, cfg).train()
+            return Trainer(model, nasdaq_mini, cfg).fit()
         assert np.allclose(run(5), run(5))
 
     def test_actuals_match_dataset_labels(self, nasdaq_mini, rng):

@@ -58,7 +58,7 @@ class TestLearnsSignal:
                       relational_filters=8, dropout=0.0,
                       rng=np.random.default_rng(1))
         losses = Trainer(model, nasdaq_mini,
-                         TrainConfig(window=10, epochs=6, seed=1)).train()
+                         TrainConfig(window=10, epochs=6, seed=1)).fit()
         assert losses[-1] < losses[0]
 
 

@@ -40,12 +40,3 @@ def serving_ckpt_dir(tmp_path_factory, csi_mini):
         directory / "ckpt-e0000-b000000.npz")
     return directory
 
-
-@pytest.fixture(autouse=True)
-def _sanctioned_layer_tests():
-    """These are white-box tests of the serving layers build() composes;
-    construct them the way the blessed factory does — under sanctioned()
-    — now that direct construction raises LegacyRemovedError."""
-    from repro.serve._deprecation import sanctioned
-    with sanctioned():
-        yield

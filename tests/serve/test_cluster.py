@@ -40,6 +40,13 @@ def _get(handle, path):
         return resp.status, dict(resp.headers), json.load(resp)
 
 
+def _get_error(handle, path):
+    host, port = handle.address
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=60)
+    return err.value.code, dict(err.value.headers), json.load(err.value)
+
+
 class TestClusterServing:
     def test_health_reports_both_workers(self, cluster):
         status, _, health = _get(cluster, "/v1/health")
@@ -64,11 +71,19 @@ class TestClusterServing:
         assert rank["ranking"][0]["rank"] == 1
         assert rank["ranking"][0]["symbol"] == topk["top_k"][0]["symbol"]
 
-    def test_unversioned_alias_carries_deprecation_headers(self, cluster):
-        status, headers, body = _get(cluster, "/scores")
-        assert status == 200 and body["scores"]
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/scores" in headers.get("Link", "")
+    def test_unversioned_path_is_not_found(self, cluster):
+        status, headers, body = _get_error(cluster, "/scores")
+        assert (status, body["error"]["code"]) == (404, "not_found")
+        assert "Deprecation" not in headers
+
+    @pytest.mark.parametrize("version", ["nope", "ckpt-e0000-b000000"])
+    def test_unserved_version_is_not_found(self, cluster, version):
+        # the workers hold only the served version's weights, even when
+        # another archive exists in the directory
+        status, _, body = _get_error(cluster, f"/v1/top_k?version={version}")
+        assert (status, body["error"]["code"]) == (404, "not_found")
+        assert "'best'" in body["error"]["message"]
+        assert _get(cluster, "/v1/top_k?version=best")[2]["version"] == "best"
 
     def test_error_envelope_is_uniform(self, cluster):
         host, port = cluster.address

@@ -84,11 +84,11 @@ class TestBuildThreaded:
                                         timeout=30) as resp:
                 scores = json.load(resp)
             assert scores["scores"]
-            # unversioned alias answers with deprecation headers
-            with urllib.request.urlopen(base + "/scores",
-                                        timeout=30) as resp:
-                assert resp.headers["Deprecation"] == "true"
-                assert "/v1/scores" in resp.headers["Link"]
+            # paths outside /v1/ are not routes
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(base + "/scores", timeout=30)
+            assert err.value.code == 404
+            assert json.load(err.value)["error"]["code"] == "not_found"
             # uniform error envelope
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(base + "/v1/top_k?k=zebra",

@@ -20,7 +20,6 @@ import pytest
 from repro.ckpt import TrainingCheckpoint, save
 from repro.core import RTGCN
 from repro.serve import ServeConfig, build
-from repro.serve._deprecation import sanctioned
 from repro.serve.engine import InferenceEngine
 from repro.serve.registry import build_servable
 from repro.serve.shm import shm_available
@@ -110,9 +109,8 @@ def test_hot_swap_drops_nothing_and_scores_bitwise(swap_ckpt_dir,
     assert generations == {0, 1}, generations
 
     # (c) post-swap scores bitwise-equal to a fresh engine on the new file
-    with sanctioned():
-        servable = build_servable(swap_ckpt_dir / "best.npz", "best")
-        engine = InferenceEngine(servable)
+    servable = build_servable(swap_ckpt_dir / "best.npz", "best")
+    engine = InferenceEngine(servable)
     expected = engine.scores(None)
     symbols = engine.dataset.universe.symbols
     for generation, scores in results:

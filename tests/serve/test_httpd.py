@@ -7,17 +7,14 @@ import urllib.request
 
 import pytest
 
-from repro.serve._deprecation import sanctioned
 from repro.serve.httpd import RankingHTTPServer
 from repro.serve.service import RankingService
 
 
 @pytest.fixture(scope="module")
 def server(serving_ckpt_dir):
-    # Module-scoped, so it sets up before the autouse sanction fixture.
-    with sanctioned():
-        service = RankingService(serving_ckpt_dir, max_wait_ms=2.0)
-        httpd = RankingHTTPServer(("127.0.0.1", 0), service)  # ephemeral port
+    service = RankingService(serving_ckpt_dir, max_wait_ms=2.0)
+    httpd = RankingHTTPServer(("127.0.0.1", 0), service)  # ephemeral port
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     yield httpd
@@ -38,7 +35,7 @@ def get(server, path):
 
 class TestRoutes:
     def test_health(self, server):
-        status, payload = get(server, "/health")
+        status, payload = get(server, "/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
 

@@ -1,0 +1,59 @@
+"""The threaded server and the cluster answer with the same JSON.
+
+Both build ranking bodies and error envelopes with the same code; only
+the cluster's ``generation``/``worker`` fields tell them apart.
+"""
+
+import json
+import multiprocessing
+import urllib.error
+import urllib.request
+
+import pytest
+
+from repro.serve import ServeConfig, build
+from repro.serve.shm import shm_available
+
+pytestmark = pytest.mark.skipif(
+    not (shm_available()
+         and "fork" in multiprocessing.get_all_start_methods()),
+    reason="cluster mode needs fork + shared_memory")
+
+
+@pytest.fixture(scope="module")
+def handles(serving_ckpt_dir):
+    # The cluster forks its workers before the threaded server starts
+    # any threads.
+    handles = [build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
+                                 port=0, **extra)).start()
+               for extra in ({"mode": "cluster", "cluster_workers": 1,
+                              "watch_interval_s": 30.0}, {})]
+    yield handles
+    for handle in handles:
+        handle.close()
+
+
+def _fetch(handle, path):
+    host, port = handle.address
+    try:
+        with urllib.request.urlopen(f"http://{host}:{port}{path}",
+                                    timeout=60) as resp:
+            return resp.status, json.load(resp)
+    except urllib.error.HTTPError as err:
+        return err.code, json.load(err)
+
+
+@pytest.mark.parametrize("path, status", [
+    ("/v1/scores", 200), ("/v1/top_k?k=3", 200), ("/v1/rank", 200),
+    ("/v1/delta", 200),
+    ("/v1/top_k?k=0", 400),
+    ("/v1/scores?day=1", 400),             # before the first servable day
+    ("/v1/delta?day=5", 400),              # first servable day (window 6)
+])
+def test_bodies_match_across_topologies(handles, path, status):
+    (c_status, c_body), (t_status, t_body) = (_fetch(h, path)
+                                              for h in handles)
+    assert c_status == t_status == status
+    if status == 200:
+        assert (c_body.pop("generation"), c_body.pop("worker")) == (0, 0)
+    assert c_body == t_body

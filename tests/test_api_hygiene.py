@@ -65,41 +65,17 @@ def test_key_paper_symbols_reachable_from_top_level():
 
 
 class TestServeLegacyRemoval:
-    """PR 8 deprecated the hand-construction surface; this release removes
-    it: the names are gone from repro.serve and direct construction of the
-    underlying classes raises LegacyRemovedError."""
+    """The serving layer classes live in their submodules; repro.serve
+    exports the config-driven build path, not the internals."""
 
     def test_legacy_names_are_not_exported(self):
         import repro.serve as serve
-        for name in serve.LEGACY:
+        for name in ("ModelRegistry", "InferenceEngine", "MicroBatcher",
+                     "RankingService", "RankingHTTPServer", "serve_forever"):
             assert name not in serve.__all__, \
-                f"removed legacy name {name!r} back in repro.serve.__all__"
+                f"internal name {name!r} back in repro.serve.__all__"
             assert not hasattr(serve, name), \
-                f"removed legacy name {name!r} importable from repro.serve"
-
-    def test_legacy_replacements_name_the_blessed_path(self):
-        import repro.serve as serve
-        for name, replacement in serve.LEGACY.items():
-            assert "ServeConfig" in replacement, (name, replacement)
-
-    def test_direct_construction_raises(self, tmp_path):
-        from repro.serve import LegacyRemovedError
-        from repro.serve.batcher import MicroBatcher
-        from repro.serve.registry import ModelRegistry
-        from repro.serve.service import RankingService
-        with pytest.raises(LegacyRemovedError, match="ModelRegistry"):
-            ModelRegistry(tmp_path)
-        with pytest.raises(LegacyRemovedError, match="docs/serving.md"):
-            MicroBatcher(lambda key: key)
-        with pytest.raises(LegacyRemovedError, match="ServeConfig"):
-            RankingService(tmp_path)
-
-    def test_sanctioned_construction_still_works(self, tmp_path):
-        from repro.serve._deprecation import sanctioned
-        from repro.serve.registry import ModelRegistry
-        with sanctioned():
-            registry = ModelRegistry(tmp_path)
-        assert registry.discover() == []
+                f"internal name {name!r} importable from repro.serve"
 
     def test_blessed_build_path_never_raises(self, tmp_path):
         from repro.serve import ServeConfig, build

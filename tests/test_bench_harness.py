@@ -1,10 +1,11 @@
-"""The benchmark harness's telemetry publishing (ISSUE-2 satellite f).
+"""The benchmark harness's telemetry publishing.
 
 ``benchmarks/`` is not on the import path of the tier-1 suite, so the
 harness module is loaded by file location.  These tests pin the NaN
-contract of ``publish_json`` — degenerate measurements must surface as
+contract of ``publish_result`` — degenerate measurements must surface as
 explicit ``null`` + ``degenerate_timing`` flags in the artifact, never as
-bare ``NaN`` tokens (not JSON) and never silently dropped.
+bare ``NaN`` tokens (not JSON) and never silently dropped — and the
+optional tee into the experiment store.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.eval.speed import SpeedMeasurement
+from repro.store import sanitize_payload, speed_record
 
 _HARNESS_PATH = (Path(__file__).resolve().parents[1]
                  / "benchmarks" / "_harness.py")
@@ -57,27 +59,27 @@ class TestDatasetCache:
 
 
 class TestSanitizeJson:
-    def test_nan_and_inf_become_null(self, harness):
+    def test_nan_and_inf_become_null(self):
         payload = {"a": float("nan"), "b": float("inf"),
                    "c": [1.0, float("-inf"), {"d": float("nan")}]}
-        out = harness.sanitize_json(payload)
+        out = sanitize_payload(payload)
         assert out == {"a": None, "b": None, "c": [1.0, None, {"d": None}]}
 
-    def test_numpy_scalars_coerced(self, harness):
-        out = harness.sanitize_json({"f": np.float64(2.5),
+    def test_numpy_scalars_coerced(self):
+        out = sanitize_payload({"f": np.float64(2.5),
                                      "i": np.int64(3),
                                      "nan": np.float64("nan")})
         assert out == {"f": 2.5, "i": 3, "nan": None}
         json.dumps(out, allow_nan=False)   # round-trips strictly
 
-    def test_finite_values_untouched(self, harness):
+    def test_finite_values_untouched(self):
         payload = {"x": 1.25, "s": "text", "n": None, "l": [1, 2]}
-        assert harness.sanitize_json(payload) == payload
+        assert sanitize_payload(payload) == payload
 
 
 class TestPublishJson:
     def test_nan_payload_becomes_null_not_dropped(self, harness):
-        path = harness.publish_json(
+        path = harness.publish_result(
             "t", {"speedup": float("nan"), "seconds": 1.5})
         data = _strict_load(path)
         assert "speedup" in data          # key survives ...
@@ -87,16 +89,16 @@ class TestPublishJson:
         assert "schema_version" in data
 
     def test_nested_nan_sanitized(self, harness):
-        path = harness.publish_json(
+        path = harness.publish_result(
             "t", {"models": {"m": {"train_speedup": float("inf")}}})
         assert _strict_load(path)["models"]["m"]["train_speedup"] is None
 
 
 class TestSpeedEntry:
-    def test_healthy_measurement(self, harness):
+    def test_healthy_measurement(self):
         ours = SpeedMeasurement("ours", 0.5, 0.1)
         base = SpeedMeasurement("base", 2.0, 0.3)
-        entry = harness.speed_entry(ours, baseline=base)
+        entry = speed_record(ours, baseline=base)
         assert entry["degenerate_timing"] is False
         assert entry["train_speedup"] == pytest.approx(4.0)
         assert entry["speedup_over"] == "base"
@@ -104,23 +106,44 @@ class TestSpeedEntry:
     def test_degenerate_timing_flagged_not_hidden(self, harness):
         ours = SpeedMeasurement("ours", 0.0, 0.1)   # below timer resolution
         base = SpeedMeasurement("base", 2.0, 0.3)
-        entry = harness.speed_entry(ours, baseline=base)
+        entry = speed_record(ours, baseline=base)
         assert entry["degenerate_timing"] is True
         assert math.isnan(entry["train_speedup"])
         # Published, the NaN becomes an explicit null under its key.
-        path = harness.publish_json("t", {"entry": entry})
+        path = harness.publish_result("t", {"entry": entry})
         published = _strict_load(path)["entry"]
         assert published["train_speedup"] is None
         assert published["degenerate_timing"] is True
 
-    def test_degenerate_baseline_flagged(self, harness):
+    def test_degenerate_baseline_flagged(self):
         ours = SpeedMeasurement("ours", 1.0, 0.1)
         base = SpeedMeasurement("base", 0.0, 0.3)
-        entry = harness.speed_entry(ours, baseline=base)
+        entry = speed_record(ours, baseline=base)
         assert entry["degenerate_timing"] is True
 
-    def test_no_baseline_keeps_raw_timings(self, harness):
-        entry = harness.speed_entry(SpeedMeasurement("m", 1.0, 0.25))
+    def test_no_baseline_keeps_raw_timings(self):
+        entry = speed_record(SpeedMeasurement("m", 1.0, 0.25))
         assert entry == {"name": "m", "train_seconds_per_epoch": 1.0,
                          "test_seconds": 0.25, "phases": {},
                          "degenerate_timing": False}
+
+
+class TestBenchStoreTee:
+    def test_bench_sink_tees_into_store(self, harness, tmp_path,
+                                        monkeypatch):
+        from repro.store import ExperimentStore
+        db = tmp_path / "bench.sqlite"
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path / "results")
+        monkeypatch.setattr(harness, "BENCH_STORE", str(db))
+        path = harness.publish_result("speed", {"x": 1})
+        assert path == tmp_path / "results" / "speed.json"
+        store = ExperimentStore(db)
+        rows = store.execute(
+            "SELECT report_id, kind FROM telemetry")
+        assert [(r["report_id"], r["kind"]) for r in rows] == [
+            ("bench:speed", "benchmark")]
+
+    def test_no_store_by_default(self, harness, monkeypatch):
+        monkeypatch.setattr(harness, "BENCH_STORE", "")
+        from repro.store import JsonSink
+        assert isinstance(harness.bench_sink(), JsonSink)

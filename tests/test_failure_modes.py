@@ -89,7 +89,7 @@ class TestModelContracts:
         trainer = Trainer(model, nasdaq_mini,
                           TrainConfig(window=6, epochs=1, max_train_days=2))
         with pytest.raises(ValueError):
-            trainer.train()
+            trainer.fit()
 
     def test_module_rejects_bad_state_shape(self, rng):
         layer = nn.Linear(3, 2)

@@ -138,7 +138,7 @@ class TestNewsAugmentedDataset:
         base_model = RTGCN(nasdaq_mini.relations, num_features=4,
                            strategy="uniform", relational_filters=8,
                            dropout=0.0, rng=np.random.default_rng(0))
-        base_losses = Trainer(base_model, nasdaq_mini, cfg).train()
+        base_losses = Trainer(base_model, nasdaq_mini, cfg).fit()
 
         news = NewsAugmentedDataset(nasdaq_mini,
                                     NewsConfig(event_rate=1.0,
@@ -146,5 +146,5 @@ class TestNewsAugmentedDataset:
         news_model = RTGCN(news.relations, num_features=5,
                            strategy="uniform", relational_filters=8,
                            dropout=0.0, rng=np.random.default_rng(0))
-        news_losses = Trainer(news_model, news, cfg).train()
+        news_losses = Trainer(news_model, news, cfg).fit()
         assert news_losses[-1] < base_losses[-1]

@@ -10,73 +10,68 @@ import pytest
 import repro.nn as nn
 from repro.cli import _config_from_args, build_parser, main
 from repro.core import RTGCN, TrainConfig
-from repro.io import load_checkpoint, save_checkpoint
+from repro.ckpt import (FORMAT_VERSION, CheckpointError,
+                        TrainingCheckpoint, load, save)
 from repro.tensor import Tensor
 
 
 class TestCheckpoints:
-    """The deprecated ``repro.io`` shims (every call now warns)."""
+    """Model snapshots through ``repro.ckpt`` (format details: tests/ckpt)."""
 
     @staticmethod
-    def save(model, path, **kwargs):
-        with pytest.warns(DeprecationWarning, match="repro.ckpt"):
-            return save_checkpoint(model, path, **kwargs)
-
-    @staticmethod
-    def load(model, path, **kwargs):
-        with pytest.warns(DeprecationWarning, match="repro.ckpt"):
-            return load_checkpoint(model, path, **kwargs)
+    def snapshot(model, path, **metadata):
+        return save(TrainingCheckpoint(model_state=model.state_dict(),
+                                       model_class=type(model).__name__,
+                                       metadata=metadata), path)
 
     def test_roundtrip_restores_outputs(self, tmp_path, rng):
         model = nn.Sequential(nn.Linear(4, 8), nn.Tanh(), nn.Linear(8, 2))
-        path = self.save(model, tmp_path / "model",
-                         metadata={"note": "hello"})
+        path = self.snapshot(model, tmp_path / "model", note="hello")
         assert path.suffix == ".npz"
 
         clone = nn.Sequential(nn.Linear(4, 8), nn.Tanh(), nn.Linear(8, 2))
-        meta = self.load(clone, path)
-        assert meta["user"]["note"] == "hello"
-        assert meta["num_parameters"] == model.num_parameters()
+        checkpoint = load(path)
+        clone.load_state_dict(checkpoint.model_state)
+        assert checkpoint.metadata["note"] == "hello"
         x = Tensor(rng.standard_normal((3, 4)))
         assert np.allclose(model(x).data, clone(x).data)
 
     def test_rtgcn_checkpoint(self, tmp_path, nasdaq_mini, rng):
         model = RTGCN(nasdaq_mini.relations, strategy="weight",
                       relational_filters=8, rng=rng)
-        path = self.save(model, tmp_path / "rtgcn.npz")
+        path = self.snapshot(model, tmp_path / "rtgcn.npz")
         clone = RTGCN(nasdaq_mini.relations, strategy="weight",
                       relational_filters=8,
                       rng=np.random.default_rng(999))
-        self.load(clone, path)
+        clone.load_state_dict(load(path).model_state)
         feats = Tensor(np.random.default_rng(0).standard_normal((6, 48, 4)))
         model.eval()
         clone.eval()
         assert np.allclose(model(feats).data, clone(feats).data)
 
     def test_class_mismatch_rejected(self, tmp_path):
-        model = nn.Linear(3, 2)
-        path = self.save(model, tmp_path / "linear.npz")
-        other = nn.Sequential(nn.Linear(3, 2))
-        with pytest.raises(ValueError, match="Linear"):
-            self.load(other, path)
+        path = self.snapshot(nn.Linear(3, 2), tmp_path / "linear.npz")
+        checkpoint = load(path)
+        assert checkpoint.model_class == "Linear"
+        with pytest.raises(KeyError, match="state_dict mismatch"):
+            nn.Sequential(nn.Linear(3, 2)).load_state_dict(
+                checkpoint.model_state)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.npz"
         np.savez(bogus, data=np.zeros(3))
-        with pytest.raises(ValueError, match="not a repro checkpoint"):
-            self.load(nn.Linear(2, 2), bogus)
+        with pytest.raises(CheckpointError, match="not a repro checkpoint"):
+            load(bogus)
 
     def test_suffix_added_automatically(self, tmp_path):
-        model = nn.Linear(2, 2)
-        path = self.save(model, tmp_path / "plain")
+        path = self.snapshot(nn.Linear(2, 2), tmp_path / "plain")
         assert path.name == "plain.npz"
-        self.load(nn.Linear(2, 2), tmp_path / "plain")
+        nn.Linear(2, 2).load_state_dict(
+            load(tmp_path / "plain").model_state)
 
     def test_writes_format_v2_readable_by_repro_ckpt(self, tmp_path):
-        from repro.ckpt import FORMAT_VERSION, load as load_ckpt
         model = nn.Linear(3, 3)
-        path = self.save(model, tmp_path / "v2.npz")
-        checkpoint = load_ckpt(path)
+        checkpoint = load(self.snapshot(model, tmp_path / "v2.npz"))
         assert checkpoint.format_version == FORMAT_VERSION
         assert checkpoint.model_class == "Linear"
         assert set(checkpoint.model_state) == set(model.state_dict())
@@ -85,14 +80,15 @@ class TestCheckpoints:
         model = nn.Linear(3, 2)
         blob = np.frombuffer(
             json.dumps({"format_version": 1, "model_class": "Linear",
-                        "num_parameters": model.num_parameters(),
                         "user": {"note": "pre-rebase"}}).encode(),
             dtype=np.uint8)
         path = tmp_path / "legacy.npz"
         np.savez(path, __checkpoint_meta__=blob, **model.state_dict())
+        checkpoint = load(path)
+        assert checkpoint.format_version == 1
+        assert checkpoint.metadata["note"] == "pre-rebase"
         clone = nn.Linear(3, 2)
-        meta = self.load(clone, path)
-        assert meta["user"]["note"] == "pre-rebase"
+        clone.load_state_dict(checkpoint.model_state)
         assert np.allclose(clone.weight.data, model.weight.data)
 
 
@@ -239,14 +235,12 @@ class TestServeQueryCLI:
         import json
         import threading
 
-        from repro.serve._deprecation import sanctioned
         from repro.serve.httpd import RankingHTTPServer
         from repro.serve.registry import ModelRegistry
         from repro.serve.service import RankingService
 
-        with sanctioned():
-            service = RankingService(ModelRegistry(ckpt_dir))
-            server = RankingHTTPServer(("127.0.0.1", 0), service)
+        service = RankingService(ModelRegistry(ckpt_dir))
+        server = RankingHTTPServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
