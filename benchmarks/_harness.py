@@ -12,14 +12,16 @@ to scale up:
   (results are bitwise-identical to serial; see docs/parallelism.md)
 
 Each bench prints the paper-style table and writes it under
-``benchmarks/results/`` so the output survives pytest's capture.  Set
-``RTGCN_BENCH_STORE=/path/to/experiments.sqlite`` to additionally record
-every JSON artifact in the experiment store (``repro.store``), queryable
-via ``repro.cli db``.
+``benchmarks/results/`` (``<name>.txt`` and the strict-JSON
+``<name>.json``) so the output survives pytest's capture.  Set
+``RTGCN_BENCH_STORE=/path/to/experiments.sqlite`` to also record every
+JSON artifact as a ``benchmark`` telemetry row (id ``bench:<name>``) in
+the experiment store (``repro.store``), queryable via ``repro.cli db``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -28,13 +30,13 @@ import numpy as np
 
 from repro.core import TrainConfig
 from repro.data import StockDataset, load_market
-from repro.store import (JsonSink, ResultSink, StoreSink, TeeSink,
-                         bench_envelope)
+from repro.store import ExperimentStore, bench_envelope, sanitize_payload
 from repro.store import speed_record  # noqa: F401 — benches import it here
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: set to a sqlite path to tee bench artifacts into the experiment store
+#: set to a sqlite path to also record bench artifacts in the experiment
+#: store
 BENCH_STORE = os.environ.get("RTGCN_BENCH_STORE", "")
 
 BENCH_EPOCHS = int(os.environ.get("RTGCN_BENCH_EPOCHS", "12"))
@@ -122,34 +124,28 @@ def bench_settings() -> dict:
             "window": BENCH_WINDOW, "seed": BENCH_SEED}
 
 
-def bench_sink() -> ResultSink:
-    """The artifact sink every bench publishes through.
-
-    Always the byte-compatible ``results/<name>.json`` files; teed into
-    the experiment store when ``RTGCN_BENCH_STORE`` is set.
-    """
-    json_sink = JsonSink(RESULTS_DIR)
-    if BENCH_STORE:
-        return TeeSink(json_sink, StoreSink(BENCH_STORE))
-    return json_sink
-
-
-def publish_result(name: str, payload: dict,
-                   sink: Optional[ResultSink] = None) -> Path:
+def publish_result(name: str, payload: dict) -> Path:
     """Persist machine-readable telemetry as ``results/<name>.json``.
 
     Wraps ``payload`` in the :mod:`repro.obs` schema envelope
     (``schema_version``, ``benchmark``, ``created_at``, bench-scale
-    settings) so future PRs can regress against these artifacts without
-    parsing the text tables, and routes it through the
-    :class:`~repro.store.ResultSink` layer: the JSON file bytes are
-    unchanged, and with ``RTGCN_BENCH_STORE`` set the same envelope also
-    lands in the experiment store's telemetry table.  Non-finite floats
-    are written as ``null`` — never a bare (non-JSON) ``NaN`` token.
+    settings) so later runs can regress against these artifacts without
+    parsing the text tables.  Non-finite floats are written as ``null``
+    — never a bare (non-JSON) ``NaN`` token.  With ``RTGCN_BENCH_STORE``
+    set, the same envelope also replaces the store's ``bench:<name>``
+    telemetry row, exactly as rewriting the file replaces it.
     """
-    envelope = bench_envelope(name, payload, settings=bench_settings())
-    return (sink if sink is not None else bench_sink()).write_bench(
-        name, envelope)
+    envelope = sanitize_payload(
+        bench_envelope(name, payload, settings=bench_settings()))
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    path = RESULTS_DIR / f"{name}.json"
+    path.write_text(json.dumps(envelope, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
+    if BENCH_STORE:
+        with ExperimentStore(BENCH_STORE) as store:
+            store.record_report(envelope, kind="benchmark",
+                                report_id=f"bench:{name}")
+    return path
 
 
 def checkpoint_telemetry(trainer, directory: Optional[Path] = None) -> dict:

@@ -14,7 +14,7 @@ and reports, per worker count:
 - executor telemetry (utilization, retries, crashes, max queue depth).
 
 It also demonstrates the fault-tolerance contract end to end: a child
-process running the sweep with a ``resume_dir`` journal is SIGKILLed
+process running the sweep against an experiment store is SIGKILLed
 mid-sweep, and the re-invocation completes only the missing runs while
 still matching the serial metrics exactly.
 
@@ -27,7 +27,6 @@ Run directly: ``PYTHONPATH=src python benchmarks/bench_parallel_scale.py``
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import signal
@@ -63,50 +62,50 @@ def runs_equal(a, b) -> bool:
     return True
 
 
-def run_sweep(workers: int, resume_dir=None):
+def run_sweep(workers: int, store=None):
     config = bench_config()
     started = time.perf_counter()
     sweep = run_experiments_parallel(
         MODELS, [MARKET], config=config, n_runs=BENCH_RUNS,
         base_seed=BENCH_SEED, workers=workers, dataset_seed=BENCH_SEED,
-        resume_dir=resume_dir)
+        store=store)
     return sweep, time.perf_counter() - started
 
 
 def kill_resume_demo(tmp_dir) -> dict:
-    """SIGKILL a journaled sweep mid-flight, resume it, verify equality.
+    """SIGKILL a store-backed sweep mid-flight, resume it, verify equality.
 
     The child is forked (not spawned) so it shares this process's loaded
-    datasets; the parent kills it as soon as the journal shows the first
-    completed run — exactly the "operator's laptop died" scenario the
-    resume journal exists for.
+    datasets; the parent kills it as soon as the store holds the first
+    completed run — exactly the "operator's laptop died" scenario
+    store-backed resume exists for.
     """
     import multiprocessing
 
-    resume_dir = tmp_dir / "journal"
-    resume_dir.mkdir()
-    def journaled_runs() -> int:
-        count = 0
-        for path in resume_dir.glob("experiment-*.json"):
-            try:
-                count += len(json.loads(path.read_text()).get("runs", []))
-            except json.JSONDecodeError:    # mid-write; count it next poll
-                pass
-        return count
+    from repro.store import ExperimentStore
+
+    db = tmp_dir / "sweep.sqlite"
+
+    def stored_runs() -> int:
+        if not db.exists():
+            return 0
+        with ExperimentStore(db) as store:
+            return store.execute(
+                "SELECT COUNT(DISTINCT run_id) AS n FROM metrics")[0]["n"]
 
     ctx = multiprocessing.get_context("fork")
-    child = ctx.Process(target=run_sweep, args=(2, resume_dir))
+    child = ctx.Process(target=run_sweep, args=(2, db))
     child.start()
     deadline = time.monotonic() + 600.0
-    while time.monotonic() < deadline and journaled_runs() < 1:
+    while time.monotonic() < deadline and stored_runs() < 1:
         time.sleep(0.05)
     os.kill(child.pid, signal.SIGKILL)
     child.join()
 
-    survivors = journaled_runs()
+    survivors = stored_runs()
     total = len(MODELS) * BENCH_RUNS
-    resumed, seconds = run_sweep(2, resume_dir=resume_dir)
-    return {"journaled_runs_surviving_kill": survivors,
+    resumed, seconds = run_sweep(2, store=db)
+    return {"stored_runs_surviving_kill": survivors,
             "total_runs": total,
             "resumed_wall_seconds": seconds,
             "resumed_sweep": resumed}
@@ -163,8 +162,8 @@ def main() -> None:
         for cell in serial_sweep.results)
     if not resume_equal:
         raise SystemExit("resumed sweep diverged from serial metrics")
-    if not 1 <= demo["journaled_runs_surviving_kill"] <= demo["total_runs"]:
-        raise SystemExit("kill-resume demo journaled nothing before the "
+    if not 1 <= demo["stored_runs_surviving_kill"] <= demo["total_runs"]:
+        raise SystemExit("kill-resume demo stored nothing before the "
                          "kill; raise BENCH_RUNS")
 
     cores = os.cpu_count() or 1
@@ -181,7 +180,7 @@ def main() -> None:
          "max queue"],
         rows,
         note=(f"2-worker speedup: {speedup_2w:.2f}x ({floor_note}); "
-              f"kill-resume: {demo['journaled_runs_surviving_kill']}/"
+              f"kill-resume: {demo['stored_runs_surviving_kill']}/"
               f"{demo['total_runs']} runs survived SIGKILL, resumed "
               f"sweep == serial: {resume_equal}"))
     publish("parallel_scale", table)
@@ -193,8 +192,8 @@ def main() -> None:
         "speedup_floor_enforced": floor_applies,
         "scaling": entries,
         "kill_resume": {
-            "journaled_runs_surviving_kill":
-                demo["journaled_runs_surviving_kill"],
+            "stored_runs_surviving_kill":
+                demo["stored_runs_surviving_kill"],
             "total_runs": demo["total_runs"],
             "resumed_wall_seconds": demo["resumed_wall_seconds"],
             "resumed_metrics_equal_serial": resume_equal,

@@ -39,9 +39,11 @@ db
     consistent ``--format {table,json,csv}``.
 
 ``train``, ``compare``, and ``sweep`` accept ``--store PATH`` to record
-every run (per-epoch losses included) in the experiment store;
-``compare``/``sweep`` add ``--no-dedup`` to force re-execution of runs
-the store already holds.
+every run (per-epoch losses included) in the experiment store.  The
+store is also how ``compare``/``sweep`` resume: re-invoked after a crash
+they execute only the runs it does not hold yet (``--no-dedup`` forces
+re-execution).  ``db migrate`` ingests the per-experiment journal files
+older versions wrote.
 
 Every field of :class:`repro.core.TrainConfig` is exposed as a flag on the
 training commands (``--learning-rate``, ``--weight-decay``, ...); the flag
@@ -53,8 +55,7 @@ automatically.  ``serve`` works the same way against
 The ``train`` command is fault-tolerant: ``--checkpoint-dir`` writes
 atomic, checksummed training checkpoints (optionally every N batches via
 ``--checkpoint-every``) and ``--resume`` continues a killed run
-bitwise-identically; ``compare`` accepts ``--resume-dir`` to continue a
-multi-run comparison at run *k*.  See ``docs/checkpointing.md``.
+bitwise-identically.  See ``docs/checkpointing.md``.
 
 Examples
 --------
@@ -168,7 +169,8 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
     """``--store`` / ``--no-dedup``, shared by compare and sweep."""
     parser.add_argument("--store", default=None, metavar="DB",
                         help="record every run in this sqlite experiment "
-                             "store and skip runs it already holds "
+                             "store and skip runs it already holds, so a "
+                             "killed invocation resumes where it stopped "
                              "(docs/experiment-store.md)")
     parser.add_argument("--no-dedup", action="store_true",
                         help="with --store: re-execute runs even when "
@@ -392,7 +394,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         result = run_named_experiment(name, dataset, config,
                                       n_runs=args.runs,
                                       base_seed=args.seed,
-                                      resume_dir=args.resume_dir,
                                       workers=args.workers,
                                       store=args.store or None,
                                       dedup=not args.no_dedup)
@@ -417,9 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = run_experiments_parallel(
         models, markets, config=config, n_runs=args.runs,
         base_seed=args.seed, workers=args.workers,
-        dataset_seed=args.seed, resume_dir=args.resume_dir,
-        telemetry_dir=args.telemetry_dir,
-        task_timeout=args.task_timeout,
+        dataset_seed=args.seed, task_timeout=args.task_timeout,
         store=args.store or None, dedup=not args.no_dedup)
     print(f"\n{'market':14s} {'model':12s} {'MRR':>8s} {'IRR-1':>8s} "
           f"{'IRR-5':>8s} {'IRR-10':>8s}")
@@ -435,9 +434,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"utilization {metrics['utilization_mean']:.0%}, "
               f"retries {metrics['retries']}, "
               f"crashes {metrics['crashes']}")
-        if args.telemetry_dir:
-            print(f"telemetry report: {args.telemetry_dir}/"
-                  f"{sweep.telemetry['run_id']}.json")
     return 0
 
 
@@ -846,10 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated model names")
     compare.add_argument("--runs", type=int, default=3,
                          help="repeated runs per model")
-    compare.add_argument("--resume-dir", default=None,
-                         help="journal completed runs here and resume an "
-                              "interrupted comparison at run k instead "
-                              "of run 0")
     compare.add_argument("--workers", type=int, default=1,
                          help="fan each model's runs across N worker "
                               "processes (results identical to serial; "
@@ -871,13 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: one per CPU, "
                             "capped at the number of runs)")
-    sweep.add_argument("--resume-dir", default=None,
-                       help="journal completed runs per cell; a killed "
-                            "sweep re-executes only the missing runs")
-    sweep.add_argument("--telemetry-dir", default=None,
-                       help="write the executor's schema-v1 JSON report "
-                            "here (worker utilization, retries, per-run "
-                            "wall time)")
     sweep.add_argument("--task-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="kill and retry a run stuck longer than "

@@ -129,6 +129,21 @@ class TrainConfig:
         if self.dist_days_per_step < 1:
             raise ValueError(f"dist_days_per_step must be >= 1, got "
                              f"{self.dist_days_per_step}")
+        # A negative clip norm flips every gradient (gradient ascent).
+        for name in ("grad_clip", "weight_decay", "alpha"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
+        if self.early_stopping_patience is not None and \
+                self.early_stopping_patience < 1:
+            raise ValueError(f"early_stopping_patience must be None or "
+                             f">= 1, got {self.early_stopping_patience}")
+        if self.validation_days < 1:
+            raise ValueError(f"validation_days must be >= 1, got "
+                             f"{self.validation_days}")
+        if self.max_rollbacks < 0:
+            raise ValueError(f"max_rollbacks must be >= 0, got "
+                             f"{self.max_rollbacks}")
 
 
 @dataclass
@@ -214,9 +229,6 @@ class Trainer:
             train_days = train_days[-cfg.max_train_days:]
         validation_days: List[int] = []
         if cfg.early_stopping_patience is not None:
-            if cfg.validation_days <= 0:
-                raise ValueError("early stopping requires validation_days "
-                                 "> 0")
             if cfg.validation_days >= len(train_days):
                 raise ValueError(f"validation_days={cfg.validation_days} "
                                  f"exhausts the {len(train_days)}-day "

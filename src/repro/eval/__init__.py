@@ -10,10 +10,9 @@ from .indices import (cap_weighted_index, index_cumulative_returns,
 from .metrics import (daily_topn_returns, irr, irr_curve, kendall_tau, mrr,
                       ndcg_at_n, precision_at_n, ranking_metrics,
                       reciprocal_rank_of_top1)
-from .protocol import (ExperimentResult, JournalMismatchError,
-                       compare_paired, compare_to_published,
-                       run_experiment, run_named_experiment,
-                       strongest_baseline)
+from .protocol import (ExperimentResult, compare_paired,
+                       compare_to_published, run_experiment,
+                       run_named_experiment, strongest_baseline)
 from .speed import SpeedMeasurement, measure_speed, speed_comparison
 
 __all__ = [
@@ -23,8 +22,7 @@ __all__ = [
     "BacktestResult", "run_backtest", "oracle_backtest", "random_backtest",
     "cap_weighted_index", "price_weighted_index", "index_cumulative_returns",
     "market_index_curves",
-    "ExperimentResult", "JournalMismatchError", "run_experiment",
-    "run_named_experiment",
+    "ExperimentResult", "run_experiment", "run_named_experiment",
     "compare_paired", "compare_to_published", "strongest_baseline",
     "SpeedMeasurement", "measure_speed", "speed_comparison",
     "CaseStudy", "run_case_study", "find_connected_clique",

@@ -153,19 +153,18 @@ def grid_search(factory: Callable[[np.random.Generator, TrainConfig], Module],
         return GridPoint(params=params, metrics=metrics,
                          score=metrics[metric])
 
-    store_sink = None
     fingerprint = None
     experiment = f"grid@{dataset.market}"
     restored: Dict[int, GridPoint] = {}
     if store is not None:
-        from ..store import StoreSink
+        from ..store.db import as_store
 
-        store_sink = StoreSink(store)
+        store = as_store(store)
         fingerprint = _grid_fingerprint(base, param_grid, metric,
                                         validation_days, seed,
                                         dataset.market)
         if dedup:
-            for index, run in store_sink.store.completed_runs(
+            for index, run in store.completed_runs(
                     fingerprint, experiment).items():
                 if 0 <= index < len(combos) and metric in run.metrics:
                     restored[index] = GridPoint(
@@ -190,21 +189,16 @@ def grid_search(factory: Callable[[np.random.Generator, TrainConfig], Module],
         else:
             evaluated = {i: evaluate_combo(i) for i in pending}
 
-    if store_sink is not None:
-        from ..store import RunRecord
-
+    if store is not None:
         for index, point in evaluated.items():
-            store_sink.write_run(RunRecord(
-                experiment=experiment, run_index=index,
-                metrics=dict(point.metrics),
-                train_seconds=float("nan"), test_seconds=float("nan"),
-                fingerprint=fingerprint, seed=seed * 10000 + index,
-                kind="grid",
+            store.record_run(
+                experiment, fingerprint, index, dict(point.metrics),
+                seed=seed * 10000 + index, kind="grid",
                 config={**{name: repr(value) for name, value
                            in point.params.items()},
                         "metric": metric,
                         "validation_days": validation_days},
-                n_runs=len(combos), base_seed=seed))
+                n_runs=len(combos), base_seed=seed)
 
     points = [restored.get(i) or evaluated[i] for i in range(len(combos))]
     points.sort(key=lambda p: -p.score)

@@ -15,8 +15,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,149 +29,32 @@ from .metrics import ranking_metrics
 
 ModelFactory = Callable[[np.random.Generator], Module]
 
-#: schema tag of the experiment-resume state file (v2: runs are keyed by
-#: index so parallel workers may complete out of order, and the key
-#: carries a config fingerprint so incompatible resumes fail loudly)
-_EXPERIMENT_STATE_VERSION = 2
-
-
-class JournalMismatchError(RuntimeError):
-    """A resume journal exists but was written by a different protocol.
-
-    Mixing runs from different ``TrainConfig`` / ``base_seed`` /
-    ``n_runs`` invocations would silently corrupt the aggregate, so the
-    journal refuses: delete the journal file (or pick another
-    ``resume_dir``) to start over deliberately.
-    """
-
-
-def _fingerprint_payload(config: Optional[TrainConfig], n_runs: int,
-                         base_seed: int) -> Dict[str, object]:
-    """The fields the fingerprint digests, kept so a mismatch can name
-    the exact offending field instead of two opaque hashes."""
-    return {"config": asdict(config) if config is not None else None,
-            "n_runs": n_runs, "base_seed": base_seed}
-
-
 def _experiment_fingerprint(config: Optional[TrainConfig], n_runs: int,
                             base_seed: int) -> str:
     """Stable digest of everything that shapes the per-run results."""
-    payload = _fingerprint_payload(config, n_runs, base_seed)
+    payload = {"config": asdict(config) if config is not None else None,
+               "n_runs": n_runs, "base_seed": base_seed}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _fingerprint_field_diffs(theirs: Optional[Dict[str, object]],
-                             ours: Optional[Dict[str, object]]
-                             ) -> List[str]:
-    """Human-readable per-field diffs of two fingerprint payloads.
+def _stored_rows(store, fingerprint: str, name: str, n_runs: int
+                 ) -> Dict[int, Dict[str, object]]:
+    """Completed runs the store holds for one protocol, as loop rows.
 
-    Only ``config.*`` entries are reported — ``n_runs`` and
-    ``base_seed`` live in the journal key itself and are diffed there.
+    Seeds depend only on the run index, so a restored row is exactly
+    the run a fresh execution would produce; rows outside ``n_runs``
+    are ignored.
     """
-    if not isinstance(theirs, dict) or not isinstance(ours, dict):
-        return []
-    their_config = theirs.get("config") or {}
-    our_config = ours.get("config") or {}
-    if not isinstance(their_config, dict) or \
-            not isinstance(our_config, dict):
-        return [f"config: journal={theirs.get('config')!r} vs "
-                f"requested={ours.get('config')!r}"]
-    return [f"config.{key}: journal={their_config.get(key)!r} vs "
-            f"requested={our_config.get(key)!r}"
-            for key in sorted(set(their_config) | set(our_config))
-            if their_config.get(key) != our_config.get(key)]
+    def seconds(value: Optional[float]) -> float:
+        return float("nan") if value is None else value
 
-
-class _ExperimentJournal:
-    """Run-level resume state for a 15-run experiment.
-
-    Each completed run's metrics are recorded under its run index in
-    ``<resume_dir>/experiment-<name>.json`` (written atomically through
-    :func:`repro.ckpt.atomic_write_bytes`), so an interrupted experiment
-    re-executes only the missing runs.  Runs are seeded purely by their
-    index, which is what makes skipping completed runs sound: run *k*
-    produces the same result whether or not any other run executed in
-    this process — and it is also what lets parallel workers record
-    completions out of order.
-
-    The journal key carries a fingerprint of the ``TrainConfig`` (plus
-    ``n_runs`` and ``base_seed``); re-opening a journal with a different
-    protocol raises :class:`JournalMismatchError` instead of silently
-    mixing incompatible runs.
-    """
-
-    def __init__(self, directory: Union[str, Path], name: str,
-                 n_runs: int, base_seed: int,
-                 fingerprint: Optional[str] = None,
-                 fingerprint_fields: Optional[Dict[str, object]] = None):
-        safe = "".join(c if c.isalnum() or c in "-_." else "_"
-                       for c in name)
-        self.path = Path(directory) / f"experiment-{safe}.json"
-        self.key = {"name": name, "n_runs": n_runs, "base_seed": base_seed,
-                    "fingerprint": fingerprint}
-        #: the fingerprint's raw payload (see ``_fingerprint_payload``);
-        #: persisted alongside the key — *not* part of key equality —
-        #: so an incompatible resume can name the offending field
-        self.fields = fingerprint_fields
-        self.rows: Dict[int, Dict[str, object]] = {}
-        if self.path.exists():
-            try:
-                payload = json.loads(self.path.read_text())
-            except json.JSONDecodeError:
-                payload = None   # half-written by a dead process: restart
-            if payload is None:
-                pass
-            elif payload.get("version") != _EXPERIMENT_STATE_VERSION:
-                warnings.warn(
-                    f"ignoring resume journal {self.path} with schema "
-                    f"version {payload.get('version')!r} (expected "
-                    f"{_EXPERIMENT_STATE_VERSION}); the experiment "
-                    "restarts from run 0", RuntimeWarning, stacklevel=3)
-            elif payload.get("key") != self.key:
-                theirs = payload.get("key") or {}
-                diffs = sorted(set(theirs) | set(self.key))
-                parts = [f"{k}: journal={theirs.get(k)!r} vs "
-                         f"requested={self.key.get(k)!r}"
-                         for k in diffs
-                         if theirs.get(k) != self.key.get(k)]
-                if theirs.get("fingerprint") != self.key.get("fingerprint"):
-                    # Resolve the opaque digests into the exact config
-                    # field(s) that diverged, when both sides recorded
-                    # their fingerprint payloads.
-                    field_diffs = _fingerprint_field_diffs(
-                        payload.get("fingerprint_fields"), self.fields)
-                    parts.extend(field_diffs)
-                detail = ", ".join(parts)
-                raise JournalMismatchError(
-                    f"resume journal {self.path} was written by an "
-                    f"incompatible invocation ({detail}); refusing to "
-                    "mix runs from different protocols — delete the "
-                    "journal (or use a fresh resume_dir) to start over")
-            else:
-                self.rows = {int(row["run_index"]): dict(row)
-                             for row in payload.get("runs", [])}
-
-    @property
-    def completed(self) -> int:
-        return len(self.rows)
-
-    def record(self, run_index: int, metrics: Dict[str, float],
-               train_seconds: float, test_seconds: float) -> None:
-        from ..ckpt.checkpoint import atomic_write_bytes
-
-        self.rows[int(run_index)] = {
-            "run_index": int(run_index),
-            "metrics": {k: float(v) for k, v in metrics.items()},
-            "train_seconds": float(train_seconds),
-            "test_seconds": float(test_seconds)}
-        payload = {"version": _EXPERIMENT_STATE_VERSION, "key": self.key,
-                   "runs": [self.rows[i] for i in sorted(self.rows)]}
-        if self.fields is not None:
-            payload["fingerprint_fields"] = self.fields
-        atomic_write_bytes(self.path,
-                           (json.dumps(payload, indent=2) + "\n")
-                           .encode("utf-8"))
+    return {index: {"metrics": dict(run.metrics),
+                    "train_seconds": seconds(run.train_seconds),
+                    "test_seconds": seconds(run.test_seconds)}
+            for index, run in store.completed_runs(fingerprint,
+                                                   name).items()
+            if 0 <= index < n_runs}
 
 
 def _epoch_losses(result: object) -> Optional[List[float]]:
@@ -209,78 +91,48 @@ class ExperimentResult:
 
 
 def _run_protocol_loop(name: str, n_runs: int, base_seed: int,
-                       resume_dir: Optional[Union[str, Path]],
                        one_run: Callable[[int], "tuple"],
-                       workers: int = 1,
-                       fingerprint: Optional[str] = None,
-                       telemetry_dir: Optional[Union[str, Path]] = None,
-                       store: Optional[object] = None,
-                       dedup: bool = True,
-                       config: Optional[TrainConfig] = None
-                       ) -> ExperimentResult:
+                       fingerprint: str, config: TrainConfig,
+                       workers: int = 1, store: Optional[object] = None,
+                       dedup: bool = True) -> ExperimentResult:
     """Shared 15-run loop with optional run-level resume and fan-out.
 
     ``one_run(seed)`` executes a single seeded run and returns
-    ``(metrics, result)``.  With ``resume_dir``, completed runs recorded
-    by a previous (interrupted) invocation are loaded from the journal
-    and skipped; seeds depend only on the run index, so the aggregate is
-    identical to an uninterrupted experiment.
+    ``(metrics, result)``.
 
     With ``workers > 1`` the missing runs are fanned out across forked
     worker processes (:class:`repro.parallel.ExperimentPool`).  Every
     run is seeded exactly as in the serial loop and nothing in a run
     reads cross-run state, so the aggregated metrics are bitwise-equal
-    to serial execution; completed runs are journaled from the parent as
-    they arrive, and crashed workers are respawned with their run
+    to serial execution; crashed workers are respawned with their run
     retried (see docs/parallelism.md).
 
-    ``store`` (an :class:`~repro.store.ExperimentStore` or its path)
-    writes every completed run through to the experiment database; with
-    ``dedup=True`` runs already stored under this protocol's fingerprint
-    are restored instead of executed — the cross-invocation analogue of
-    the journal (see docs/experiment-store.md).
+    ``store`` (an :class:`~repro.store.ExperimentStore` or its path) is
+    the run ledger: every completed run is recorded there as it
+    arrives, and with ``dedup=True`` runs already stored under this
+    protocol's fingerprint are restored instead of executed.  Seeds
+    depend only on the run index, so an experiment resumed after a crash
+    aggregates exactly like an uninterrupted one (see
+    docs/experiment-store.md).
     """
-    fields = (_fingerprint_payload(config, n_runs, base_seed)
-              if config is not None else None)
-    journal = (_ExperimentJournal(resume_dir, name, n_runs, base_seed,
-                                  fingerprint, fingerprint_fields=fields)
-               if resume_dir is not None else None)
-    store_sink = None
     if store is not None:
-        from ..store import StoreSink
-        store_sink = StoreSink(store)
+        from ..store.db import as_store
+        store = as_store(store)
     rows: Dict[int, Dict[str, object]] = {}
-    if journal is not None:
-        rows = {index: row for index, row in journal.rows.items()
-                if 0 <= index < n_runs}
-    if store_sink is not None and dedup and fingerprint is not None:
-        for index, stored in store_sink.store.completed_runs(
-                fingerprint, name).items():
-            if 0 <= index < n_runs and index not in rows:
-                rows[index] = {
-                    "metrics": dict(stored.metrics),
-                    "train_seconds": (stored.train_seconds
-                                      if stored.train_seconds is not None
-                                      else float("nan")),
-                    "test_seconds": (stored.test_seconds
-                                     if stored.test_seconds is not None
-                                     else float("nan"))}
-    config_dict = asdict(config) if config is not None else None
+    if store is not None and dedup:
+        rows = _stored_rows(store, fingerprint, name, n_runs)
+    config_dict = asdict(config)
 
     def persist(run_index: int, metrics: Dict[str, float],
                 train_s: float, test_s: float,
                 epoch_losses: Optional[List[float]] = None) -> None:
-        if journal is not None:
-            journal.record(run_index, metrics, train_s, test_s)
-        if store_sink is not None:
-            from ..store import RunRecord
-            store_sink.write_run(RunRecord(
-                experiment=name, run_index=run_index,
-                metrics=dict(metrics), train_seconds=float(train_s),
-                test_seconds=float(test_s), fingerprint=fingerprint,
-                seed=base_seed * 1000 + run_index, config=config_dict,
-                n_runs=n_runs, base_seed=base_seed,
-                epoch_losses=epoch_losses))
+        if store is not None:
+            store.record_run(
+                name, fingerprint, run_index, dict(metrics),
+                seed=base_seed * 1000 + run_index,
+                train_seconds=float(train_s), test_seconds=float(test_s),
+                epoch_losses=epoch_losses, config=config_dict,
+                n_runs=n_runs, base_seed=base_seed)
 
     todo = [index for index in range(n_runs) if index not in rows]
     last = None
@@ -338,11 +190,8 @@ def _run_protocol_loop(name: str, n_runs: int, base_seed: int,
                     "base_seed": base_seed,
                     "workers": pool.telemetry.workers})
         telemetry = report.to_dict()
-        if telemetry_dir is not None:
-            from ..obs import MetricsSink
-            MetricsSink(telemetry_dir).write(report)
-        if store_sink is not None:
-            store_sink.write_report(report)
+        if store is not None:
+            store.record_report(report)
     ordered = [rows[index] for index in range(n_runs)]
     return ExperimentResult(
         name=name,
@@ -356,30 +205,24 @@ def run_experiment(name: str, factory: ModelFactory, dataset: StockDataset,
                    config: Optional[TrainConfig] = None, n_runs: int = 15,
                    base_seed: int = 0,
                    top_ns: Sequence[int] = (1, 5, 10),
-                   resume_dir: Optional[Union[str, Path]] = None,
                    workers: int = 1,
-                   telemetry_dir: Optional[Union[str, Path]] = None,
                    store: Optional[object] = None, dedup: bool = True
                    ) -> ExperimentResult:
     """Train/evaluate a model ``n_runs`` times with independent seeds.
 
-    ``resume_dir`` enables run-level fault tolerance: completed runs are
-    journaled there, and a re-invocation after a crash continues at run
-    *k* instead of run 0 (``last_result`` is ``None`` when every run was
-    restored from the journal).
-
     ``workers > 1`` fans the runs out across forked worker processes;
     every run keeps its serial seeding, so the aggregated metrics are
     bitwise-identical to ``workers=1`` (dense and sparse graph modes
-    alike).  ``telemetry_dir`` additionally writes the executor's
-    schema-v1 :class:`~repro.obs.RunReport` there; the same payload is
-    available as ``ExperimentResult.telemetry``.
+    alike).  The executor's schema-v1 :class:`~repro.obs.RunReport` is
+    returned as ``ExperimentResult.telemetry``.
 
-    ``store`` writes every run through the experiment database
+    ``store`` records every run in the experiment database
     (docs/experiment-store.md): per-epoch losses stream write-through
-    from ``Trainer.fit``, run metrics land on completion, and with
-    ``dedup=True`` a re-invocation restores already-stored runs (by
-    config fingerprint) instead of executing them.
+    from ``Trainer.fit``, run metrics and the executor report land on
+    completion, and with ``dedup=True`` a re-invocation — e.g. after a
+    crash — restores already-stored runs (by config fingerprint) and
+    executes only the missing ones (``last_result`` is ``None`` when
+    every run was restored).
     """
     cfg = config if config is not None else TrainConfig()
     fingerprint = _experiment_fingerprint(cfg, n_runs, base_seed)
@@ -399,29 +242,25 @@ def run_experiment(name: str, factory: ModelFactory, dataset: StockDataset,
                                   top_ns=top_ns)
         return metrics, result
 
-    return _run_protocol_loop(
-        name, n_runs, base_seed, resume_dir, one_run, workers=workers,
-        fingerprint=fingerprint, telemetry_dir=telemetry_dir,
-        store=store, dedup=dedup, config=cfg)
+    return _run_protocol_loop(name, n_runs, base_seed, one_run,
+                              fingerprint, cfg, workers=workers,
+                              store=store, dedup=dedup)
 
 
 def run_named_experiment(name: str, dataset: StockDataset,
                          config: Optional[TrainConfig] = None,
                          n_runs: int = 15, base_seed: int = 0,
                          top_ns: Sequence[int] = (1, 5, 10),
-                         resume_dir: Optional[Union[str, Path]] = None,
                          workers: int = 1,
-                         telemetry_dir: Optional[Union[str, Path]] = None,
                          store: Optional[object] = None,
                          dedup: bool = True) -> ExperimentResult:
     """Run a registry model (Table IV name) for ``n_runs`` seeded repeats.
 
     Classification models (``can_rank=False``) report ``MRR = NaN``,
     rendering as '-' in the printed tables, exactly like the paper.
-    ``resume_dir`` journals completed runs for run-level resume,
-    ``workers``/``telemetry_dir`` fan the runs out across processes, and
-    ``store``/``dedup`` write through (and restore from) the experiment
-    database, as in :func:`run_experiment`.
+    ``workers`` fans the runs out across processes, and ``store``/
+    ``dedup`` record into (and resume from) the experiment database, as
+    in :func:`run_experiment`.
     """
     from ..baselines.registry import get_spec, make_predictor
 
@@ -439,10 +278,9 @@ def run_named_experiment(name: str, dataset: StockDataset,
         return metrics, result
 
     return _run_protocol_loop(
-        name, n_runs, base_seed, resume_dir, one_run, workers=workers,
-        fingerprint=_experiment_fingerprint(cfg, n_runs, base_seed),
-        telemetry_dir=telemetry_dir, store=store, dedup=dedup,
-        config=cfg)
+        name, n_runs, base_seed, one_run,
+        _experiment_fingerprint(cfg, n_runs, base_seed), cfg,
+        workers=workers, store=store, dedup=dedup)
 
 
 def compare_paired(ours: ExperimentResult, baseline: ExperimentResult,

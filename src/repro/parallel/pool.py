@@ -266,7 +266,7 @@ class ExperimentPool:
 
         ``on_result(task_id, payload)`` fires in the parent as each
         result arrives (completion order), which is what lets the
-        experiment journal record finished runs while others are still
+        experiment store record finished runs while others are still
         training.  Raises :class:`TaskFailedError` on a worker-side
         exception and :class:`WorkerCrashError` when one task exhausts
         its crash budget; either way all workers are torn down.

@@ -17,18 +17,16 @@ what :func:`repro.eval.run_named_experiment` produces serially.
 
 Datasets are loaded once in the parent *before* the workers fork, so the
 feature/relation arrays are shared copy-on-write — never re-pickled per
-run.  With ``resume_dir``, each cell journals its completed runs through
-the protocol's fingerprinted journal; a killed sweep resumes with only
-the missing runs.
+run.  With ``store``, each completed run is recorded in the experiment
+store under its cell's protocol fingerprint as it arrives; a killed
+sweep resumes with only the missing runs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from itertools import product
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pool import ExperimentPool, fork_available, resolve_workers
 
@@ -51,14 +49,14 @@ class SweepResult:
     results: Dict[Tuple[str, str], "object"]
     workers: int
     wall_seconds: float
-    #: schema-v1 executor report dict (``None`` for fully-journaled or
+    #: schema-v1 executor report dict (``None`` for fully-restored or
     #: serial sweeps)
     telemetry: Optional[Dict[str, object]] = field(default=None,
                                                    repr=False)
-    #: runs actually trained this invocation (0 when the journal/store
-    #: already held every row — the dedup acceptance criterion)
+    #: runs actually trained this invocation (0 when the store already
+    #: held every row — the dedup acceptance criterion)
     executed: int = 0
-    #: runs restored from the journal and/or experiment store
+    #: runs restored from the experiment store
     restored: int = 0
 
     def cells(self) -> List[Tuple[str, str]]:
@@ -80,8 +78,6 @@ def run_experiments_parallel(
         config: Optional["object"] = None, n_runs: int = 3,
         base_seed: int = 0, workers: Optional[int] = None,
         dataset_seed: int = 0, top_ns: Sequence[int] = (1, 5, 10),
-        resume_dir: Optional[Union[str, Path]] = None,
-        telemetry_dir: Optional[Union[str, Path]] = None,
         max_attempts: int = 3, task_timeout: Optional[float] = None,
         store: Optional[object] = None, dedup: bool = True
         ) -> SweepResult:
@@ -94,12 +90,13 @@ def run_experiments_parallel(
     without ``fork`` — degrades to a serial loop with identical results.
 
     ``store`` (an :class:`~repro.store.ExperimentStore` or a path)
-    writes every completed run through the experiment database, and with
-    ``dedup=True`` restores runs already stored under each cell's config
-    fingerprint instead of executing them: re-running a finished sweep
-    trains nothing and returns identical (bitwise) metrics straight from
-    sqlite.  ``dedup=False`` forces re-execution (results overwrite the
-    stored rows).  See docs/experiment-store.md.
+    records every completed run and the executor report in the
+    experiment database, and with ``dedup=True`` restores runs already
+    stored under each cell's config fingerprint instead of executing
+    them: re-running a finished (or killed) sweep trains only what is
+    missing and returns identical (bitwise) metrics.  ``dedup=False``
+    forces re-execution (results overwrite the stored rows).  See
+    docs/experiment-store.md.
 
     Returns a :class:`SweepResult` whose per-cell
     :class:`~repro.eval.ExperimentResult` objects are bitwise-equal to
@@ -111,7 +108,7 @@ def run_experiments_parallel(
     from ..data import load_market
     from ..eval.metrics import ranking_metrics
     from ..eval.protocol import (ExperimentResult, _experiment_fingerprint,
-                                 _ExperimentJournal, _fingerprint_payload)
+                                 _stored_rows)
 
     models = [str(m) for m in models]
     markets = [str(m) for m in markets]
@@ -134,36 +131,17 @@ def run_experiments_parallel(
     fingerprints = {model: _experiment_fingerprint(adapted[model], n_runs,
                                                    base_seed)
                     for model in models}
-    fields = {model: _fingerprint_payload(adapted[model], n_runs, base_seed)
-              for model in models}
-    journals = {}
     rows: Dict[Tuple[str, str], Dict[int, Dict[str, object]]] = {
         cell: {} for cell in cells}
-    if resume_dir is not None:
-        for model, market in cells:
-            journal = _ExperimentJournal(
-                resume_dir, f"{model}@{market}", n_runs, base_seed,
-                fingerprints[model], fingerprint_fields=fields[model])
-            journals[(model, market)] = journal
-            rows[(model, market)] = {
-                index: row for index, row in journal.rows.items()
-                if 0 <= index < n_runs}
-
-    store_sink = None
     if store is not None:
-        from ..store import StoreSink
+        from ..store.db import as_store
 
-        store_sink = StoreSink(store)
+        store = as_store(store)
         if dedup:
             for model, market in cells:
-                stored = store_sink.store.completed_runs(
-                    fingerprints[model], f"{model}@{market}")
-                for index, stored_run in stored.items():
-                    if 0 <= index < n_runs:
-                        rows[(model, market)].setdefault(index, {
-                            "metrics": dict(stored_run.metrics),
-                            "train_seconds": stored_run.train_seconds,
-                            "test_seconds": stored_run.test_seconds})
+                rows[(model, market)] = _stored_rows(
+                    store, fingerprints[model], f"{model}@{market}",
+                    n_runs)
 
     specs: List[RunSpec] = []
     for model, market in cells:
@@ -192,19 +170,13 @@ def run_experiments_parallel(
         rows[(spec.model, spec.market)][spec.run_index] = {
             "metrics": metrics, "train_seconds": train_s,
             "test_seconds": test_s}
-        journal = journals.get((spec.model, spec.market))
-        if journal is not None:
-            journal.record(spec.run_index, metrics, train_s, test_s)
-        if store_sink is not None:
-            from ..store import RunRecord
-
-            store_sink.write_run(RunRecord(
-                experiment=f"{spec.model}@{spec.market}",
-                run_index=spec.run_index, metrics=dict(metrics),
+        if store is not None:
+            store.record_run(
+                f"{spec.model}@{spec.market}", fingerprints[spec.model],
+                spec.run_index, dict(metrics), seed=spec.seed,
                 train_seconds=train_s, test_seconds=test_s,
-                fingerprint=fingerprints[spec.model], seed=spec.seed,
                 config=asdict(adapted[spec.model]), n_runs=n_runs,
-                base_seed=base_seed))
+                base_seed=base_seed)
 
     n_workers = resolve_workers(workers, len(specs))
     telemetry = None
@@ -223,11 +195,8 @@ def run_experiments_parallel(
                         "tasks": [[s.model, s.market, s.run_index]
                                   for s in specs]})
             telemetry = report.to_dict()
-            if telemetry_dir is not None:
-                from ..obs import MetricsSink
-                MetricsSink(telemetry_dir).write(report)
-            if store_sink is not None:
-                store_sink.write_report(report)
+            if store is not None:
+                store.record_report(report)
         else:
             n_workers = 1
             for task in range(len(specs)):

@@ -91,16 +91,14 @@ class QueryClient:
                 exc = ServiceTimeoutError(
                     f"no response from {self.host}:{self.port}{path} "
                     f"within {self.timeout:g}s")
-                return error_payload("timeout", str(exc), retry_after=1.0,
-                                     type_name=type(exc).__name__)
+                return error_payload("timeout", str(exc), retry_after=1.0)
             try:
                 return json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return error_payload(
                     "bad_response",
                     f"non-JSON response from "
-                    f"{self.host}:{self.port}{path}: {exc}",
-                    type_name=type(exc).__name__)
+                    f"{self.host}:{self.port}{path}: {exc}")
         finally:
             writer.close()
             try:

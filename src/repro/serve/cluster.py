@@ -123,8 +123,7 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
             status, code, retry_after = classify_exception(exc)
             response = (req_id, "err",
                         {"status": status, "code": code,
-                         "retry_after": retry_after, "message": str(exc),
-                         "type": type(exc).__name__})
+                         "retry_after": retry_after, "message": str(exc)})
         try:
             event_conn.send(response)
         except (BrokenPipeError, OSError):  # parent went away mid-reply
@@ -506,11 +505,9 @@ class ServingCluster:
             if kind == "ok":
                 future.set_result(body)
             else:
-                error = ApiError(body["status"], body["code"],
-                                 body["message"],
-                                 retry_after=body.get("retry_after"))
-                error.type_name = body.get("type")  # original class name
-                future.set_exception(error)
+                future.set_exception(ApiError(
+                    body["status"], body["code"], body["message"],
+                    retry_after=body.get("retry_after")))
 
     def _roundtrip(self, handle: WorkerHandle, op: str,
                    query: Dict[str, str]) -> Tuple[str, Dict[str, Any]]:

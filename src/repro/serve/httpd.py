@@ -61,9 +61,6 @@ class ApiError(Exception):
         self.status = int(status)
         self.code = str(code)
         self.retry_after = retry_after
-        #: original exception class for the legacy ``type`` field (the
-        #: cluster reconstructs worker-side errors as ApiError)
-        self.type_name: Optional[str] = None
 
 
 def resolve_route(path: str) -> Optional[str]:
@@ -76,18 +73,10 @@ def resolve_route(path: str) -> Optional[str]:
 
 
 def error_payload(code: str, message: str,
-                  retry_after: Optional[float] = None,
-                  type_name: Optional[str] = None) -> Dict[str, Any]:
-    """The uniform JSON error envelope.
-
-    ``type`` is a legacy field (pre-/v1/ clients matched on exception
-    class names); new clients switch on the stable ``code``.
-    """
-    envelope: Dict[str, Any] = {"code": code, "message": message,
-                                "retry_after": retry_after}
-    if type_name is not None:
-        envelope["type"] = type_name
-    return {"error": envelope}
+                  retry_after: Optional[float] = None) -> Dict[str, Any]:
+    """The uniform JSON error envelope; clients switch on ``code``."""
+    return {"error": {"code": code, "message": message,
+                      "retry_after": retry_after}}
 
 
 def classify_exception(exc: BaseException
@@ -111,9 +100,7 @@ def exception_response(exc: BaseException
     headers = {}
     if retry_after is not None:
         headers["Retry-After"] = f"{retry_after:g}"
-    type_name = getattr(exc, "type_name", None) or type(exc).__name__
-    return status, headers, error_payload(code, str(exc), retry_after,
-                                          type_name=type_name)
+    return status, headers, error_payload(code, str(exc), retry_after)
 
 
 def parse_query(query_string: str) -> Dict[str, str]:

@@ -1,11 +1,10 @@
 """repro.store — the queryable sqlite experiment database.
 
-One WAL-mode sqlite3 file (stdlib only) replaces the three bespoke
-result substrates that grew across PRs 1–5: journal-v2 resume files,
-schema-v1 JSON telemetry, and raw ``benchmarks/results`` dumps.  Runs
-are keyed by the protocol's sha256 config fingerprint, which is what
-makes **dedup-by-fingerprint** work: re-running a sweep executes only
-the configs not already stored (see docs/experiment-store.md).
+One WAL-mode sqlite3 file (stdlib only) is the run ledger: completed
+runs, crash-resume state and executor telemetry are all written here.
+Runs are keyed by the protocol's sha256 config fingerprint, which is
+what makes **dedup-by-fingerprint** work: re-running a sweep executes
+only the runs not already stored (see docs/experiment-store.md).
 
 Layers
 ------
@@ -15,9 +14,8 @@ Layers
 - :mod:`~repro.store.query` — typed reads (:class:`StoredRun`,
   :class:`AggregateRow`) and the ``--format {table,json,csv}``
   renderers;
-- :mod:`~repro.store.sink` — the :class:`ResultSink` protocol
-  (:class:`StoreSink` / :class:`JsonSink` / :class:`TeeSink`) every
-  result producer now writes through;
+- :mod:`~repro.store.sink` — the NaN-safe benchmark artifact builders
+  (:func:`bench_envelope`, :func:`speed_record`);
 - :mod:`~repro.store.callback` — :class:`StoreCallback`, the
   ``Trainer.fit`` write-through (per-epoch losses land in the database
   as they happen);
@@ -32,17 +30,13 @@ from .query import (DEFAULT_METRICS, AggregateRow, StoredRun,
                     aggregate_runs, metric_names, query_runs, render_rows,
                     store_report)
 from .schema import STORE_SCHEMA_VERSION, split_experiment
-from .sink import (JsonSink, ResultSink, RunRecord, StoreSink, TeeSink,
-                   bench_envelope, run_record_from_result,
-                   sanitize_payload, speed_record)
+from .sink import bench_envelope, sanitize_payload, speed_record
 
 __all__ = [
-    "AggregateRow", "DEFAULT_METRICS", "ExperimentStore", "JsonSink",
-    "MigrationStats", "ResultSink", "RunRecord", "STORE_SCHEMA_VERSION",
-    "StoreCallback", "StoreError", "StoreSink", "StoredRun", "TeeSink",
-    "aggregate_runs", "bench_envelope", "detect_format",
-    "fallback_fingerprint", "metric_names", "migrate", "migrate_file",
-    "query_runs", "render_rows", "run_record_from_result",
-    "sanitize_payload", "speed_record", "split_experiment",
-    "store_report",
+    "AggregateRow", "DEFAULT_METRICS", "ExperimentStore",
+    "MigrationStats", "STORE_SCHEMA_VERSION", "StoreCallback",
+    "StoreError", "StoredRun", "aggregate_runs", "bench_envelope",
+    "detect_format", "fallback_fingerprint", "metric_names", "migrate",
+    "migrate_file", "query_runs", "render_rows", "sanitize_payload",
+    "speed_record", "split_experiment", "store_report",
 ]

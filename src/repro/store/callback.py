@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from .db import ExperimentStore
+from .db import ExperimentStore, as_store
 
 
 def fallback_fingerprint(experiment: str,
@@ -56,8 +56,7 @@ class StoreCallback:
                  fingerprint: Optional[str] = None, run_index: int = 0,
                  seed: Optional[int] = None, kind: str = "train",
                  config: Optional[Dict[str, Any]] = None):
-        self.store = (store if isinstance(store, ExperimentStore)
-                      else ExperimentStore(store))
+        self.store = as_store(store)
         self.experiment = experiment
         self.config = config
         self.fingerprint = (fingerprint if fingerprint is not None

@@ -428,3 +428,9 @@ class ExperimentStore:
                 ) -> List[sqlite3.Row]:
         """Escape hatch: run a read-only query and fetch all rows."""
         return list(self.connection.execute(sql, tuple(parameters)))
+
+
+def as_store(store: Union[ExperimentStore, str, Path]) -> ExperimentStore:
+    """``store`` itself, or a (lazily opened) store at that path."""
+    return (store if isinstance(store, ExperimentStore)
+            else ExperimentStore(store))

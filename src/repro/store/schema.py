@@ -7,7 +7,7 @@ five relational tables plus a ``meta`` key/value table:
 ``configs``
     One row per *protocol fingerprint*: the sha256 digest of the
     ``TrainConfig`` + ``n_runs`` + ``base_seed`` that shapes a family of
-    runs (the same digest the journal-v2 resume files carry).  The
+    runs (the same digest older journal-v2 resume files carry).  The
     fingerprint is the natural key that makes dedup-by-fingerprint work:
     a re-run of a sweep looks its configs up here before executing
     anything.

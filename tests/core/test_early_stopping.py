@@ -24,11 +24,10 @@ class TestEarlyStopping:
         losses = Trainer(make_model(csi_mini), csi_mini, cfg).fit()
         assert len(losses) == 3
 
-    def test_requires_positive_validation_days(self, csi_mini):
-        cfg = TrainConfig(window=8, epochs=2, early_stopping_patience=1,
-                          validation_days=0)
-        with pytest.raises(ValueError):
-            Trainer(make_model(csi_mini), csi_mini, cfg).fit()
+    def test_requires_positive_validation_days(self):
+        with pytest.raises(ValueError, match="validation_days must be"):
+            TrainConfig(window=8, epochs=2, early_stopping_patience=1,
+                        validation_days=0)
 
     def test_validation_cannot_exhaust_training(self, csi_mini):
         cfg = TrainConfig(window=8, epochs=2, max_train_days=10,

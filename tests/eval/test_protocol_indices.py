@@ -130,6 +130,7 @@ class TestExperimentResume:
     def test_resume_skips_completed_runs_identically(self, csi_mini,
                                                      tmp_path):
         cfg = quick_config()
+        db = tmp_path / "exp.sqlite"
         baseline = run_experiment("resume-check", self.factory(csi_mini),
                                   csi_mini, cfg, n_runs=3, base_seed=1)
 
@@ -143,7 +144,7 @@ class TestExperimentResume:
 
         with pytest.raises(RuntimeError, match="simulated crash"):
             run_experiment("resume-check", crash_on_third, csi_mini, cfg,
-                           n_runs=3, base_seed=1, resume_dir=tmp_path)
+                           n_runs=3, base_seed=1, store=db)
 
         resumed_calls = []
 
@@ -152,92 +153,31 @@ class TestExperimentResume:
             return self.factory(csi_mini)(gen)
 
         resumed = run_experiment("resume-check", counting, csi_mini, cfg,
-                                 n_runs=3, base_seed=1,
-                                 resume_dir=tmp_path)
+                                 n_runs=3, base_seed=1, store=db)
         assert len(resumed_calls) == 1    # only run 2 re-executed
         assert resumed.runs == baseline.runs    # aggregate is unchanged
 
-    def test_changed_n_runs_rejected_loudly(self, csi_mini, tmp_path):
-        from repro.eval import JournalMismatchError
-        cfg = quick_config()
-        run_experiment("resume-check", self.factory(csi_mini), csi_mini,
-                       cfg, n_runs=2, base_seed=1, resume_dir=tmp_path)
-        # Resuming under a different protocol must refuse, not silently
-        # mix runs from two different experiments.
-        with pytest.raises(JournalMismatchError, match="n_runs"):
-            run_experiment("resume-check", self.factory(csi_mini),
-                           csi_mini, cfg, n_runs=3, base_seed=1,
-                           resume_dir=tmp_path)
-
-    def test_changed_config_rejected_loudly(self, csi_mini, tmp_path):
-        from repro.eval import JournalMismatchError
-        run_experiment("resume-check", self.factory(csi_mini), csi_mini,
-                       quick_config(), n_runs=2, base_seed=1,
-                       resume_dir=tmp_path)
-        # The error must name the *field* that diverged, not just report
-        # an opaque digest mismatch.
-        with pytest.raises(JournalMismatchError,
-                           match=r"config\.alpha: journal=0\.1 vs "
-                                 r"requested=0\.2"):
-            run_experiment("resume-check", self.factory(csi_mini),
-                           csi_mini, quick_config(alpha=0.2), n_runs=2,
-                           base_seed=1, resume_dir=tmp_path)
-
-    def test_pre_fields_journal_reports_digest_only(self, csi_mini,
-                                                    tmp_path):
-        """Journals written before fingerprint_fields still refuse with
-        the plain digest message (no crash on the missing payload)."""
-        import json
-
-        from repro.eval import JournalMismatchError
-        run_experiment("resume-check", self.factory(csi_mini), csi_mini,
-                       quick_config(), n_runs=2, base_seed=1,
-                       resume_dir=tmp_path)
-        journal = tmp_path / "experiment-resume-check.json"
-        payload = json.loads(journal.read_text())
-        payload.pop("fingerprint_fields", None)
-        journal.write_text(json.dumps(payload))
-        with pytest.raises(JournalMismatchError, match="fingerprint"):
-            run_experiment("resume-check", self.factory(csi_mini),
-                           csi_mini, quick_config(alpha=0.2), n_runs=2,
-                           base_seed=1, resume_dir=tmp_path)
-
-    def test_old_version_journal_restarts_with_warning(self, csi_mini,
-                                                       tmp_path):
-        import json
-        journal = tmp_path / "experiment-resume-check.json"
-        journal.write_text(json.dumps({
-            "version": 1,
-            "key": {"name": "resume-check", "n_runs": 2, "base_seed": 1},
-            "runs": []}))
-        with pytest.warns(RuntimeWarning, match="version"):
-            result = run_experiment("resume-check", self.factory(csi_mini),
-                                    csi_mini, quick_config(), n_runs=2,
-                                    base_seed=1, resume_dir=tmp_path)
-        assert len(result.runs) == 2
-
-    def test_corrupt_journal_restarts_cleanly(self, csi_mini, tmp_path):
-        journal = tmp_path / "experiment-resume-check.json"
-        journal.write_text('{"version": 2, "key": ')   # half-written
-        result = run_experiment("resume-check", self.factory(csi_mini),
-                                csi_mini, quick_config(), n_runs=2,
-                                base_seed=1, resume_dir=tmp_path)
-        assert len(result.runs) == 2
+        # Another protocol shape is another fingerprint: its runs are
+        # executed, never mixed with the stored three.
+        resumed_calls.clear()
+        run_experiment("resume-check", counting, csi_mini, cfg, n_runs=2,
+                       base_seed=1, store=db)
+        assert len(resumed_calls) == 2
 
     def test_out_of_order_journal_rows_resume(self, csi_mini, tmp_path):
         """Parallel completion order must not confuse the resume logic."""
+        from repro.eval.protocol import _experiment_fingerprint
+        from repro.store import ExperimentStore
+
         cfg = quick_config()
         baseline = run_experiment("resume-check", self.factory(csi_mini),
                                   csi_mini, cfg, n_runs=3, base_seed=1)
-
-        from repro.eval.protocol import (_experiment_fingerprint,
-                                         _ExperimentJournal)
+        store = ExperimentStore(tmp_path / "exp.sqlite")
         fingerprint = _experiment_fingerprint(cfg, 3, 1)
-        journal = _ExperimentJournal(tmp_path, "resume-check", 3, 1,
-                                     fingerprint)
-        # Journal runs 2 then 0 — as a 2-worker pool might complete them.
+        # Store runs 2 then 0 — as a 2-worker pool might complete them.
         for index in (2, 0):
-            journal.record(index, baseline.runs[index], 0.0, 0.0)
+            store.record_run("resume-check", fingerprint, index,
+                             baseline.runs[index])
 
         calls = []
 
@@ -246,8 +186,7 @@ class TestExperimentResume:
             return self.factory(csi_mini)(gen)
 
         resumed = run_experiment("resume-check", counting, csi_mini, cfg,
-                                 n_runs=3, base_seed=1,
-                                 resume_dir=tmp_path)
+                                 n_runs=3, base_seed=1, store=store)
         assert len(calls) == 1          # only the missing run 1 executed
         assert resumed.runs == baseline.runs
 

@@ -1,6 +1,8 @@
 """Parallel execution must be bitwise-identical to the serial protocol."""
 
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.core import RTGCN, TrainConfig
 from repro.eval import grid_search, run_experiment, run_named_experiment
 from repro.parallel import fork_available, run_experiments_parallel
+from repro.store import ExperimentStore, query_runs
 
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="needs the fork start method")
@@ -106,30 +109,41 @@ class TestFaultInjection:
         assert par.runs == serial.runs
         assert par.telemetry["metrics"]["crashes"] == 1
 
-    def test_killed_sweep_resumes_at_run_k(self, nasdaq_mini, tmp_path):
-        """Journaled parallel runs survive a dead parent: the second
-        invocation executes only the missing runs."""
+    def test_killed_sweep_resumes_at_run_k(self, csi_mini, tmp_path):
+        """SIGKILL a store-backed 2-worker experiment after its first
+        stored run: the store stays intact, and the re-invocation
+        executes only the missing runs, bitwise-equal to serial."""
         cfg = quick_config()
-        resume = tmp_path / "journal"
-        resume.mkdir()
-        serial = run_experiment("eq-resume", factory(nasdaq_mini),
-                                nasdaq_mini, cfg, n_runs=4, workers=1)
+        db = tmp_path / "exp.sqlite"
+        serial = run_experiment("eq-resume", factory(csi_mini), csi_mini,
+                                cfg, n_runs=6, workers=1)
 
-        # First invocation: run only 2 of the 4 runs in parallel, then
-        # "die" (simulated by asking for fewer runs via a seeded journal:
-        # we journal runs 0 and 2 exactly as a killed 2-worker sweep that
-        # completed those runs out of order would have).
-        from repro.eval.protocol import (_experiment_fingerprint,
-                                         _ExperimentJournal)
-        fingerprint = _experiment_fingerprint(cfg, 4, 0)
-        journal = _ExperimentJournal(resume, "eq-resume", 4, 0, fingerprint)
-        for index in (2, 0):
-            journal.record(index, serial.runs[index],
-                           serial.train_seconds[index],
-                           serial.test_seconds[index])
+        pid = os.fork()
+        if pid == 0:                    # the parent that gets killed
+            try:
+                run_experiment("eq-resume", factory(csi_mini), csi_mini,
+                               cfg, n_runs=6, workers=2, store=db)
+            finally:
+                os._exit(0)
 
-        # Resume with 2 workers: only runs 1 and 3 may execute.  Fork
-        # means in-memory counters don't propagate back, so count
+        def stored_runs() -> int:
+            if not db.exists():
+                return 0
+            with ExperimentStore(db) as store:
+                return store.execute("SELECT COUNT(DISTINCT run_id) AS n"
+                                     " FROM metrics")[0]["n"]
+
+        deadline = time.monotonic() + 300.0
+        while stored_runs() < 1 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        survivors = stored_runs()
+        assert 1 <= survivors < 6
+        with ExperimentStore(db) as store:
+            assert store.execute("PRAGMA integrity_check")[0][0] == "ok"
+
+        # Fork means in-memory counters don't propagate back, so count
         # executions through marker files instead.
         executed = tmp_path / "executed"
         executed.mkdir()
@@ -137,20 +151,12 @@ class TestFaultInjection:
         def counting_factory(gen):
             state = gen.bit_generator.state["state"]["state"]
             (executed / f"run-{state:x}").write_text("x")
-            return factory(nasdaq_mini)(gen)
+            return factory(csi_mini)(gen)
 
-        par = run_experiment("eq-resume", counting_factory, nasdaq_mini,
-                             cfg, n_runs=4, workers=2, resume_dir=resume)
-        assert len(list(executed.iterdir())) == 2
-        assert par.runs == serial.runs
-
-        # A third invocation finds the journal complete: nothing runs.
-        for path in executed.iterdir():
-            path.unlink()
-        again = run_experiment("eq-resume", counting_factory, nasdaq_mini,
-                               cfg, n_runs=4, workers=2, resume_dir=resume)
-        assert list(executed.iterdir()) == []
-        assert again.runs == serial.runs
+        resumed = run_experiment("eq-resume", counting_factory, csi_mini,
+                                 cfg, n_runs=6, workers=2, store=db)
+        assert len(list(executed.iterdir())) == 6 - survivors
+        assert resumed.runs == serial.runs
 
 
 class TestSweep:
@@ -182,19 +188,24 @@ class TestSweep:
         assert ser.telemetry is None and par.telemetry is not None
 
     def test_sweep_journals_and_resumes(self, tmp_path):
+        """A sweep whose store holds some of its runs — what a killed
+        sweep leaves behind — executes only the rest."""
         cfg = quick_config()
-        resume = tmp_path / "sweep-journal"
-        first = run_experiments_parallel(
-            ["Rank_LSTM"], ["nasdaq-mini"], config=cfg, n_runs=2,
-            workers=2, dataset_seed=7, resume_dir=resume)
-        assert (resume / "experiment-Rank_LSTM_nasdaq-mini.json").exists()
-        # Fully journaled: the resumed sweep schedules zero tasks.
-        second = run_experiments_parallel(
-            ["Rank_LSTM"], ["nasdaq-mini"], config=cfg, n_runs=2,
-            workers=2, dataset_seed=7, resume_dir=resume)
         key = ("Rank_LSTM", "nasdaq-mini")
-        assert second.results[key].runs == first.results[key].runs
-        assert second.telemetry is None     # nothing left to execute
+        full = run_experiments_parallel(
+            ["Rank_LSTM"], ["nasdaq-mini"], config=cfg, n_runs=3,
+            workers=2, dataset_seed=7, store=tmp_path / "full.sqlite")
+        stored = query_runs(ExperimentStore(tmp_path / "full.sqlite"))
+        partial = ExperimentStore(tmp_path / "partial.sqlite")
+        run = next(run for run in stored if run.run_index == 1)
+        partial.record_run(run.experiment, run.fingerprint, 1, run.metrics)
+
+        resumed = run_experiments_parallel(
+            ["Rank_LSTM"], ["nasdaq-mini"], config=cfg, n_runs=3,
+            workers=2, dataset_seed=7, store=partial)
+        assert (resumed.executed, resumed.restored) == (2, 1)
+        assert resumed.results[key].runs == full.results[key].runs
+        assert len(query_runs(partial)) == 3
 
     def test_classifier_mrr_is_nan_in_sweep(self):
         cfg = quick_config()

@@ -84,7 +84,8 @@ class TestErrorStatuses:
     def test_bad_day_400(self, server):
         status, payload = get(server, "/v1/scores?day=1")
         assert status == 400
-        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["code"] == "bad_request"
+        assert "type" not in payload["error"]
 
     def test_non_integer_param_400(self, server):
         status, payload = get(server, "/v1/top_k?k=lots")

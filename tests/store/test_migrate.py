@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.baselines import get_spec
 from repro.core import TrainConfig
 from repro.eval import run_named_experiment
 from repro.store import (ExperimentStore, detect_format, migrate,
@@ -38,15 +39,39 @@ class TestDetectFormat:
         assert detect_format([1, 2]) is None
 
 
+def write_journal(directory, name, config, n_runs, base_seed, runs):
+    """A journal-v2 document as the protocol used to write it."""
+    from dataclasses import asdict
+
+    from repro.eval.protocol import _experiment_fingerprint
+
+    directory.mkdir(exist_ok=True)
+    path = directory / f"experiment-{name}.json"
+    path.write_text(json.dumps({
+        "version": 2,
+        "key": {"name": name, "n_runs": n_runs, "base_seed": base_seed,
+                "fingerprint": _experiment_fingerprint(config, n_runs,
+                                                       base_seed)},
+        "runs": [{"run_index": index, "metrics": metrics,
+                  "train_seconds": 1.0, "test_seconds": 0.1}
+                 for index, metrics in enumerate(runs)],
+        "fingerprint_fields": {"config": asdict(config), "n_runs": n_runs,
+                               "base_seed": base_seed}}, indent=2))
+    return path
+
+
 class TestJournalRoundTrip:
     def test_live_journal_migrates_bitwise(self, nasdaq_mini, tmp_path,
                                            store):
-        """A journal written by the live protocol migrates into rows
-        whose metrics equal the in-memory result bitwise."""
+        """A journal of live protocol runs migrates into rows whose
+        metrics equal the in-memory result bitwise."""
         journal_dir = tmp_path / "journals"
-        result = run_named_experiment("Rank_LSTM", nasdaq_mini,
-                                      quick_config(), n_runs=2, workers=1,
-                                      resume_dir=journal_dir)
+        cfg = quick_config()
+        result = run_named_experiment("Rank_LSTM", nasdaq_mini, cfg,
+                                      n_runs=2, workers=1)
+        write_journal(journal_dir, "Rank_LSTM",
+                      get_spec("Rank_LSTM").adapt_config(cfg), 2, 0,
+                      result.runs)
         stats = migrate(store, [journal_dir])
         assert stats.journals == 1 and stats.runs == 2
         runs = query_runs(store, source="journal-v2")
@@ -62,8 +87,11 @@ class TestJournalRoundTrip:
         fingerprints are the same digest."""
         journal_dir = tmp_path / "journals"
         cfg = quick_config()
-        run_named_experiment("Rank_LSTM", nasdaq_mini, cfg, n_runs=2,
-                             workers=1, resume_dir=journal_dir)
+        expected = run_named_experiment("Rank_LSTM", nasdaq_mini, cfg,
+                                        n_runs=2, workers=1)
+        write_journal(journal_dir, "Rank_LSTM",
+                      get_spec("Rank_LSTM").adapt_config(cfg), 2, 0,
+                      expected.runs)
         migrate(store, [journal_dir])
         # A store-backed re-run of the same protocol restores the
         # migrated rows instead of executing.
@@ -71,7 +99,8 @@ class TestJournalRoundTrip:
                                       n_runs=2, workers=1,
                                       store=store.path)
         assert len(query_runs(store)) == 2    # nothing new was written
-        assert query_runs(store)[0].metrics == result.runs[0]
+        assert result.runs == expected.runs
+        assert result.last_result is None     # every run was restored
 
     def test_pre_fingerprint_journal_gets_fallback_key(self, tmp_path,
                                                        store):

@@ -1,78 +1,8 @@
-"""ResultSink protocol: StoreSink, JsonSink, TeeSink, bench records."""
+"""Benchmark artifact records: sanitizing, speed records, envelopes."""
 
-import json
 import math
 
-import pytest
-
-from repro.store import (ExperimentStore, JsonSink, RunRecord, StoreSink,
-                         TeeSink, bench_envelope, query_runs,
-                         sanitize_payload, speed_record)
-
-
-def record(**overrides):
-    base = dict(experiment="e@m", run_index=0, metrics={"MRR": 0.25},
-                train_seconds=1.5, test_seconds=0.5, fingerprint="fp",
-                seed=7, config={"window": 6}, n_runs=2, base_seed=0)
-    base.update(overrides)
-    return RunRecord(**base)
-
-
-class TestStoreSink:
-    def test_write_run_lands_in_store(self, tmp_path):
-        sink = StoreSink(tmp_path / "exp.sqlite")
-        sink.write_run(record())
-        run = query_runs(sink.store)[0]
-        assert run.metrics["MRR"] == 0.25
-        assert run.fingerprint == "fp"
-
-    def test_run_without_fingerprint_rejected(self, tmp_path):
-        sink = StoreSink(tmp_path / "exp.sqlite")
-        with pytest.raises(ValueError, match="fingerprint"):
-            sink.write_run(record(fingerprint=None))
-
-    def test_write_bench_is_replace_not_append(self, tmp_path):
-        sink = StoreSink(tmp_path / "exp.sqlite")
-        sink.write_bench("speed", {"benchmark": "speed", "x": 1})
-        sink.write_bench("speed", {"benchmark": "speed", "x": 2})
-        assert sink.store.counts()["telemetry"] == 1
-
-
-class TestJsonSink:
-    def test_write_run_creates_resumable_journal(self, tmp_path):
-        JsonSink(tmp_path).write_run(record())
-        payload = json.loads(
-            (tmp_path / "experiment-e_m.json").read_text())
-        assert payload["key"]["fingerprint"] == "fp"
-        assert payload["fingerprint_fields"]["config"] == {"window": 6}
-        assert payload["runs"][0]["metrics"]["MRR"] == 0.25
-
-    def test_write_bench_strict_json(self, tmp_path):
-        path = JsonSink(tmp_path).write_bench(
-            "b", {"benchmark": "b", "bad": float("nan")})
-        assert path == tmp_path / "b.json"
-        assert json.loads(path.read_text())["bad"] is None
-
-    def test_write_report_schema_v1(self, tmp_path):
-        from repro.obs import RunReport
-        report = RunReport(run_id="r-1", kind="parallel", config={},
-                           epoch_losses=[], phases={}, ops=[],
-                           metrics={"a": 1.0})
-        path = JsonSink(tmp_path).write_report(report.to_dict())
-        assert json.loads(path.read_text())["run_id"] == "r-1"
-
-
-class TestTeeSink:
-    def test_fans_out_to_all_sinks(self, tmp_path):
-        store_sink = StoreSink(tmp_path / "exp.sqlite")
-        tee = TeeSink(JsonSink(tmp_path / "json"), store_sink)
-        tee.write_run(record())
-        assert (tmp_path / "json" / "experiment-e_m.json").exists()
-        assert len(query_runs(store_sink.store)) == 1
-
-    def test_none_sinks_dropped(self, tmp_path):
-        tee = TeeSink(None, JsonSink(tmp_path))
-        assert len(tee.sinks) == 1
+from repro.store import bench_envelope, sanitize_payload, speed_record
 
 
 class TestSanitize:

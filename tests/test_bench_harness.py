@@ -129,21 +129,19 @@ class TestSpeedEntry:
 
 
 class TestBenchStoreTee:
-    def test_bench_sink_tees_into_store(self, harness, tmp_path,
-                                        monkeypatch):
+    def test_publish_result_tees_into_store(self, harness, tmp_path,
+                                            monkeypatch):
         from repro.store import ExperimentStore
         db = tmp_path / "bench.sqlite"
         monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path / "results")
         monkeypatch.setattr(harness, "BENCH_STORE", str(db))
         path = harness.publish_result("speed", {"x": 1})
         assert path == tmp_path / "results" / "speed.json"
+        # A re-run replaces the row, as rewriting the file replaces it.
+        harness.publish_result("speed", {"x": 2})
         store = ExperimentStore(db)
         rows = store.execute(
-            "SELECT report_id, kind FROM telemetry")
+            "SELECT report_id, kind, report_json FROM telemetry")
         assert [(r["report_id"], r["kind"]) for r in rows] == [
             ("bench:speed", "benchmark")]
-
-    def test_no_store_by_default(self, harness, monkeypatch):
-        monkeypatch.setattr(harness, "BENCH_STORE", "")
-        from repro.store import JsonSink
-        assert isinstance(harness.bench_sink(), JsonSink)
+        assert json.loads(rows[0]["report_json"]) == _strict_load(path)

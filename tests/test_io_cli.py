@@ -156,18 +156,6 @@ class TestCLI:
         assert "csi-mini" in out and "LSTM" in out
         assert "worker(s)" in out
 
-    def test_sweep_telemetry_report_written(self, tmp_path, capsys):
-        code = main(["sweep", "--markets", "csi-mini",
-                     "--models", "LSTM", "--runs", "2", "--workers", "2",
-                     "--epochs", "1", "--window", "6",
-                     "--max-train-days", "8",
-                     "--telemetry-dir", str(tmp_path)])
-        assert code == 0
-        reports = list(tmp_path.glob("*.json"))
-        assert len(reports) == 1
-        from repro.obs import validate_report
-        validate_report(json.loads(reports[0].read_text()))
-
 
 class TestModelRegistrySync:
     """`repro.cli models` must mirror repro.baselines.registry exactly —
@@ -337,6 +325,13 @@ class TestConfigSurface:
         ("dtype_policy", "float16", "dtype_policy must be one of "
                                     "'float64', 'float32', 'mixed', got "
                                     "'float16'"),
+        ("grad_clip", -1.0, "grad_clip must be >= 0, got -1.0"),
+        ("weight_decay", -1e-6, "weight_decay must be >= 0, got -1e-06"),
+        ("alpha", -0.1, "alpha must be >= 0, got -0.1"),
+        ("early_stopping_patience", 0, "early_stopping_patience must be "
+                                       "None or >= 1, got 0"),
+        ("validation_days", 0, "validation_days must be >= 1, got 0"),
+        ("max_rollbacks", -1, "max_rollbacks must be >= 0, got -1"),
     ])
     def test_trainconfig_rejects_bad_field(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -355,6 +350,13 @@ class TestConfigSurface:
         (["--learning-rate", "0"], "learning_rate must be > 0"),
         (["--learning-rate=-1e-3"], "learning_rate must be > 0"),
         (["--dtype-policy", "float16"], "dtype_policy must be one of"),
+        (["--grad-clip=-1"], "grad_clip must be >= 0"),
+        (["--weight-decay=-1e-6"], "weight_decay must be >= 0"),
+        (["--alpha=-0.1"], "alpha must be >= 0"),
+        (["--early-stopping-patience", "0"],
+         "early_stopping_patience must be None or >= 1"),
+        (["--validation-days", "0"], "validation_days must be >= 1"),
+        (["--max-rollbacks=-1"], "max_rollbacks must be >= 0"),
     ])
     def test_bad_train_field_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
