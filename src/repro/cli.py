@@ -132,13 +132,6 @@ _FIELD_HELP = {
                     "see docs/performance.md)",
     "fused_kernels": "use the fused autograd kernels",
     "buffer_arena": "recycle backward buffers through the arena",
-    "dist_workers": "intra-run data-parallel workers: 0 = plain serial "
-                    "trainer, 1 = inline dist reference, N = forked "
-                    "workers, negative = one per CPU core; the numbers "
-                    "never depend on N (docs/distributed.md)",
-    "dist_days_per_step": "training days combined into one optimizer "
-                          "step by the dist loop (part of the numerics, "
-                          "never derived from the worker count)",
 }
 
 

@@ -91,15 +91,6 @@ class TrainConfig:
     dtype_policy: str = "float64"
     fused_kernels: bool = True
     buffer_arena: bool = False
-    # Intra-run data parallelism (see docs/distributed.md): 0 disables
-    # (plain serial loop), N >= 1 runs the repro.dist fit loop with N
-    # worker processes (1 = inline, the serial numerical reference;
-    # negative = one per CPU).  `dist_days_per_step` is how many days of
-    # the schedule one optimizer step consumes under that loop; it is
-    # part of the numerics (it changes the effective batch size), so it
-    # is a config knob and never derived from the worker count.
-    dist_workers: int = 0
-    dist_days_per_step: int = 4
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -126,9 +117,6 @@ class TrainConfig:
         if self.graph_mode not in ("auto", "dense", "sparse"):
             raise ValueError(f"graph_mode must be 'auto', 'dense' or "
                              f"'sparse', got {self.graph_mode!r}")
-        if self.dist_days_per_step < 1:
-            raise ValueError(f"dist_days_per_step must be >= 1, got "
-                             f"{self.dist_days_per_step}")
         # A negative clip norm flips every gradient (gradient ascent).
         for name in ("grad_clip", "weight_decay", "alpha"):
             if not getattr(self, name) >= 0:
@@ -209,10 +197,6 @@ class Trainer:
         self.optimizer = Adam(model.parameters(),
                               lr=self.config.learning_rate)
         self._fit_state: Optional[_FitState] = None
-        # Live repro.dist ShardExecutor while a distributed fit is in
-        # flight (fault-injection hooks and tests reach workers through
-        # it); None otherwise.
-        self.dist_executor = None
 
     # ------------------------------------------------------------------
     # day bookkeeping
@@ -310,6 +294,16 @@ class Trainer:
                 f"checkpoint holds a {checkpoint.model_class}, trainer "
                 f"model is a {type(self.model).__name__}")
         if checkpoint.config:
+            # The retired data-parallel loop (non-zero ``dist_workers``)
+            # took one optimizer step per group of days; its Adam state
+            # and cursor cannot continue under one-day steps.
+            if checkpoint.config.get("dist_workers", 0):
+                raise CheckpointError(
+                    f"checkpoint was recorded by the data-parallel fit "
+                    f"loop (dist_workers="
+                    f"{checkpoint.config['dist_workers']!r}), which took "
+                    "multi-day optimizer steps; the serial trainer "
+                    "cannot continue it — start a fresh fit")
             own = asdict(self.config)
             for key, value in checkpoint.config.items():
                 if key in _RESUME_EXEMPT_FIELDS or key not in own:
@@ -397,21 +391,11 @@ class Trainer:
         ``fused_kernels``, and — when ``buffer_arena`` is set — the
         backward buffer arena.
 
-        With ``dist_workers`` non-zero the fit is delegated to the
-        :mod:`repro.dist` data-parallel loop (same callbacks, same
-        events; see :func:`repro.dist.fit_distributed` for its two
-        restrictions).
-
-        Either loop runs with the process heap retained
-        (:func:`repro.tensor.arena.retain_heap`), set before any dist
-        worker forks so the workers inherit it.
+        The loop runs with the process heap retained
+        (:func:`repro.tensor.arena.retain_heap`).
         """
         cfg = self.config
         retain_heap()
-        if cfg.dist_workers:
-            from ..dist.trainer import fit_distributed
-            return fit_distributed(self, callbacks=callbacks,
-                                   resume_from=resume_from)
         with dtype_policy(cfg.dtype_policy), \
                 fused_kernels(cfg.fused_kernels):
             if cfg.buffer_arena:

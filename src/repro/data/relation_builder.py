@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -150,8 +150,3 @@ def build_wiki_relations(universe: StockUniverse, num_types: int,
     matrix = RelationMatrix(tensor, type_names)
     return WikiRelationSet(matrix=matrix, influences=influences)
 
-
-def industry_influences(universe: StockUniverse) -> List[Sequence[int]]:
-    """Industry membership lists (used by the simulator's sector factors)."""
-    return [members for members in universe.industries().values()
-            if len(members) >= 1]

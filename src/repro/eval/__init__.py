@@ -13,7 +13,7 @@ from .metrics import (daily_topn_returns, irr, irr_curve, kendall_tau, mrr,
 from .protocol import (ExperimentResult, compare_paired,
                        compare_to_published, run_experiment,
                        run_named_experiment, strongest_baseline)
-from .speed import SpeedMeasurement, measure_speed, speed_comparison
+from .speed import SpeedMeasurement, measure_speed
 
 __all__ = [
     "mrr", "irr", "irr_curve", "daily_topn_returns", "precision_at_n",
@@ -24,7 +24,7 @@ __all__ = [
     "market_index_curves",
     "ExperimentResult", "run_experiment", "run_named_experiment",
     "compare_paired", "compare_to_published", "strongest_baseline",
-    "SpeedMeasurement", "measure_speed", "speed_comparison",
+    "SpeedMeasurement", "measure_speed",
     "CaseStudy", "run_case_study", "find_connected_clique",
     "grid_search", "GridSearchResult", "GridPoint", "validation_split",
     "PAPER_WINDOW_GRID", "PAPER_ALPHA_GRID",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -98,13 +98,3 @@ def measure_speed(name: str,
                             test_seconds=test_elapsed,
                             phases=tracer.snapshot())
 
-
-def speed_comparison(factories: Dict[str, Callable],
-                     dataset: StockDataset,
-                     config: Optional[TrainConfig] = None,
-                     epochs: int = 1,
-                     seed: int = 0) -> Dict[str, SpeedMeasurement]:
-    """Measure a set of models under identical conditions (Figure 5)."""
-    return {name: measure_speed(name, factory, dataset, config=config,
-                                epochs=epochs, seed=seed)
-            for name, factory in factories.items()}

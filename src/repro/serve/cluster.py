@@ -43,8 +43,9 @@ from urllib.parse import urlparse
 import numpy as np
 
 from ..parallel.pool import WorkerHandle, die_with_parent, fork_available
-from .httpd import (ApiError, classify_exception, exception_response,
-                    execute, parse_query, query_int, resolve_route)
+from .httpd import (ApiError, classify_exception, content_length,
+                    exception_response, execute, parse_query, query_int,
+                    resolve_route)
 from .service import ranking_response
 from .shm import SharedWeightReader, SharedWeightStore, adopt_views
 
@@ -288,7 +289,15 @@ class ServingCluster:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as exc:
+                    # The body's extent is unknown: answer, then close.
+                    status, extra, payload = exception_response(exc)
+                    writer.write(self._render(status, extra, payload,
+                                              keep_alive=False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -330,7 +339,7 @@ class ServingCluster:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        length = content_length(headers.get("content-length"))
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 

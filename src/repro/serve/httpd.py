@@ -119,6 +119,20 @@ def query_int(query: Dict[str, str], name: str) -> Optional[int]:
                          f"got {raw!r}") from None
 
 
+def content_length(raw: Optional[str]) -> int:
+    """The body length a ``Content-Length`` header names (absent = 0).
+
+    Anything but a non-negative integer is ``400 bad_request``: the
+    server cannot tell where the body ends, so it answers and closes.
+    """
+    text = (raw or "0").strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ApiError(400, "bad_request",
+                       f"Content-Length must be a non-negative integer, "
+                       f"got {raw!r}")
+    return int(text)
+
+
 def parse_body(body: Optional[bytes]) -> Dict[str, Any]:
     """Decode a JSON request body; empty/missing bodies become ``{}``."""
     if not body:
@@ -202,8 +216,15 @@ class _RankingHandler(BaseHTTPRequestHandler):
         self._respond()
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
+        try:
+            length = content_length(self.headers.get("Content-Length"))
+        except ApiError as exc:
+            status, extra_headers, payload = exception_response(exc)
+            # The body was not read, so the connection cannot be reused.
+            self._send(status, {**extra_headers, "Connection": "close"},
+                       payload)
+            return
         # Reading the full body also keeps keep-alive framing intact.
-        length = int(self.headers.get("Content-Length") or 0)
         body = self.rfile.read(length) if length else b""
         self._respond(body)
 
@@ -220,6 +241,10 @@ class _RankingHandler(BaseHTTPRequestHandler):
                                            body=body)
         except Exception as exc:  # noqa: BLE001 — JSON instead of stack dump
             status, extra_headers, payload = exception_response(exc)
+        self._send(status, extra_headers, payload)
+
+    def _send(self, status: int, extra_headers: Dict[str, str],
+              payload: Dict[str, Any]) -> None:
         body = _json_bytes(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

@@ -29,6 +29,8 @@ reference and re-seeds the cache on a miss).
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -57,6 +59,39 @@ class _StreamState:
         self.fallbacks = 0
         self.applied_edits = 0
         self.touched_rows = 0
+
+
+def _parse_deltas(raw: Any, n: int) -> List[Tuple[int, int, float]]:
+    """Validate a tick's ``deltas`` before any edit lands.
+
+    Each entry is ``[i, j, weight]``: integer stock indices inside the
+    served universe of ``n`` and a finite weight (``json.loads`` accepts
+    ``NaN`` and ``Infinity``).  Anything else raises ``ValueError``,
+    which both topologies answer with ``400 bad_request``.
+    """
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise ValueError(f"deltas must be a list of [i, j, weight] "
+                         f"entries, got {raw!r}")
+    deltas: List[Tuple[int, int, float]] = []
+    for item in raw:
+        if not (isinstance(item, (list, tuple)) and len(item) == 3):
+            raise ValueError(f"delta entries must be [i, j, weight], "
+                             f"got {item!r}")
+        i, j, w = item
+        if not all(isinstance(x, numbers.Integral)
+                   and not isinstance(x, bool) for x in (i, j)):
+            raise ValueError(f"delta indices must be integers, got {item!r}")
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) \
+                or not math.isfinite(w):
+            raise ValueError(f"delta weight must be a finite number, "
+                             f"got {item!r}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"delta ({i}, {j}) outside the served "
+                             f"universe of {n} stocks")
+        deltas.append((int(i), int(j), float(w)))
+    return deltas
 
 
 class StreamIngestor:
@@ -130,17 +165,7 @@ class StreamIngestor:
         state = self._state_for(version, engine)
         n = state.dynamic.num_nodes
 
-        raw = body.get("deltas") or []
-        deltas: List[Tuple[int, int, float]] = []
-        for item in raw:
-            if len(item) != 3:
-                raise ValueError(f"delta entries must be [i, j, weight], "
-                                 f"got {item!r}")
-            i, j, w = int(item[0]), int(item[1]), float(item[2])
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"delta ({i}, {j}) outside the served "
-                                 f"universe of {n} stocks")
-            deltas.append((i, j, w))
+        deltas = _parse_deltas(body.get("deltas"), n)
 
         touched = 0
         if deltas:

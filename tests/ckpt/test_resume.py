@@ -5,7 +5,7 @@ import pytest
 
 from repro.ckpt import (CheckpointCallback, CheckpointError,
                         CheckpointManager, CrashAfterBatches,
-                        SimulatedCrash, TrainingCheckpoint)
+                        SimulatedCrash, TrainingCheckpoint, load, save)
 from repro.core import NonFiniteLossError, Trainer
 from repro.core.losses import combined_loss
 from repro.tensor import Tensor
@@ -81,6 +81,28 @@ class TestResumeSemantics:
         other = make_trainer(csi_mini, window=8)
         with pytest.raises(CheckpointError, match="window"):
             other.load_state_dict(checkpoint)
+
+    @pytest.mark.parametrize("dist_workers", [0, 2])
+    def test_retired_dist_config_keys(self, csi_mini, tmp_path,
+                                      dist_workers):
+        # Archives from before the data-parallel loop was removed carry
+        # its two config keys.  Serial ones (dist_workers 0) resume
+        # bitwise; one recorded with multi-day steps must be refused.
+        baseline = make_trainer(csi_mini).fit()
+        callback = CheckpointCallback(tmp_path, every_n_batches=SAVE_EVERY)
+        with pytest.raises(SimulatedCrash):
+            make_trainer(csi_mini).fit(callbacks=[
+                callback, CrashAfterBatches(CRASH_BATCH)])
+        checkpoint = load(callback.last_path)
+        checkpoint.config.update(dist_workers=dist_workers,
+                                 dist_days_per_step=4)
+        archive = save(checkpoint, tmp_path / "recorded.npz")
+        resumed = make_trainer(csi_mini)
+        if dist_workers:
+            with pytest.raises(CheckpointError, match="data-parallel"):
+                resumed.fit(resume_from=archive)
+        else:
+            assert resumed.fit(resume_from=archive) == baseline
 
     def test_model_class_mismatch_refused(self, csi_mini):
         trainer = make_trainer(csi_mini)

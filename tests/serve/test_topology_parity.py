@@ -6,11 +6,13 @@ the cluster's ``generation``/``worker`` fields tell them apart.
 
 import json
 import multiprocessing
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.graph import adjacency_cache
 from repro.serve import ServeConfig, build
 from repro.serve.shm import shm_available
 
@@ -57,3 +59,58 @@ def test_bodies_match_across_topologies(handles, path, status):
     if status == 200:
         assert (c_body.pop("generation"), c_body.pop("worker")) == (0, 0)
     assert c_body == t_body
+
+
+#: both topologies, in the order the ``handles`` fixture starts them
+TOPOLOGIES = pytest.mark.parametrize("topology", [0, 1],
+                                     ids=["cluster", "threaded"])
+
+
+def _post(handle, path, body: bytes):
+    host, port = handle.address
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}", data=body,
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=60) as resp:
+            return resp.status, json.load(resp)
+    except urllib.error.HTTPError as err:
+        return err.code, json.load(err)
+
+
+@TOPOLOGIES
+@pytest.mark.parametrize("body", [
+    b'{"deltas": 5}',
+    b'{"deltas": [5]}',
+    b'{"deltas": [[0, 1, NaN]]}',
+    b'{"deltas": [[0, 1, Infinity]]}',
+    b'{"deltas": [[0, 1, 0.5], [1, 2, -Infinity]]}',
+    b'{"deltas": [["0", 1, 0.5]]}',
+], ids=["scalar", "scalar-entry", "nan", "inf", "valid-then-inf",
+        "string-index"])
+def test_malformed_ingest_is_bad_request(handles, topology, body):
+    # json.loads accepts NaN/Infinity; ingest must still refuse them, and
+    # a batch with one bad entry must land none of its edits.
+    before = adjacency_cache().stats()["deltas"]
+    status, payload = _post(handles[topology], "/v1/ingest", body)
+    assert status == 400, payload
+    assert payload["error"]["code"] == "bad_request"
+    assert adjacency_cache().stats()["deltas"] == before
+
+
+@TOPOLOGIES
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_bad_request(handles, topology, length):
+    host, port = handles[topology].address
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(f"POST /v1/ingest HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode())
+        response = b""
+        while True:                   # the server answers, then closes
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), response
+    assert json.loads(body)["error"]["code"] == "bad_request"

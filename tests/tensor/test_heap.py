@@ -18,8 +18,6 @@ import pytest
 
 import repro.core.trainer as trainer_module
 from repro.core import RTGCN, TrainConfig, Trainer
-from repro.parallel import fork_available
-from repro.serve.shm import shm_available
 from repro.tensor import arena_stats, retain_heap
 
 # the package re-exports the ``arena`` context manager under the module name
@@ -104,29 +102,6 @@ class TestRetainHeap:
                             lambda: calls.append("retain") or True)
         _small_trainer(csi_mini).fit()
         assert calls == ["retain"]
-
-    @pytest.mark.skipif(not (shm_available() and fork_available()),
-                        reason="needs shared_memory + fork")
-    def test_dist_fit_retains_before_workers_fork(self, monkeypatch,
-                                                  csi_mini):
-        events = []
-        real_retain, real_fork = trainer_module.retain_heap, os.fork
-
-        def spy_retain():
-            events.append("retain")
-            return real_retain()
-
-        def spy_fork():
-            events.append("fork")
-            return real_fork()
-
-        monkeypatch.setattr(trainer_module, "retain_heap", spy_retain)
-        monkeypatch.setattr(os, "fork", spy_fork)
-        losses = _small_trainer(csi_mini, dist_workers=2,
-                                dist_days_per_step=2).fit()
-        assert np.isfinite(losses[0])
-        assert events.count("fork") >= 2
-        assert events[0] == "retain" and events.count("retain") == 1
 
 
 class TestFaultBudget:

@@ -20,7 +20,6 @@ PUBLIC_MODULES = [
     "repro.obs",
     "repro.ckpt",
     "repro.serve",
-    "repro.dist",
 ]
 
 

@@ -317,7 +317,6 @@ class TestConfigSurface:
                                 "'rollback', got 'shrug'"),
         ("graph_mode", "csr", "graph_mode must be 'auto', 'dense' or "
                               "'sparse', got 'csr'"),
-        ("dist_days_per_step", 0, "dist_days_per_step must be >= 1, got 0"),
         ("max_train_days", 0, "max_train_days must be None or >= 1, got 0"),
         ("window", 0, "window must be >= 1, got 0"),
         ("num_features", 0, "num_features must be >= 1, got 0"),
@@ -342,8 +341,8 @@ class TestConfigSurface:
     @pytest.mark.parametrize("argv,message", [
         (["--nan-policy", "shrug"], "nan_policy must be"),
         (["--graph-mode", "csr"], "graph_mode must be"),
-        (["--dist-days-per-step", "0"], "dist_days_per_step must be >= 1"),
-        (["--dist-days-per-step", "-3"], "dist_days_per_step must be >= 1"),
+        (["--max-train-days=-2"], "max_train_days must be None or >= 1"),
+        (["--window=-1"], "window must be >= 1"),
         (["--max-train-days", "0"], "max_train_days must be None or >= 1"),
         (["--window", "0"], "window must be >= 1"),
         (["--features", "0"], "num_features must be >= 1"),
