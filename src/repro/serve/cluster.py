@@ -37,6 +37,7 @@ import multiprocessing
 import threading
 import time
 import warnings
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
 
@@ -71,13 +72,34 @@ def _worker_execute(engine, reader: SharedWeightReader, slot: int,
     The body comes from the same :func:`ranking_response` the threaded
     service uses, plus ``generation``/``worker``, so clients cannot tell
     which serving topology answered — only the transport differs.
+    Scores come from the engine's per-day memo: a day is forwarded once
+    per weight generation.
     """
     day = engine.resolve_day(query_int(query, "day"))
     k = query_int(query, "k") if op == "top_k" else None
     body = ranking_response(op, engine, day,
-                            lambda d: (engine.scores(d), False), k=k)
+                            lambda d: (engine.cached_scores(d), False), k=k)
     body.update(generation=reader.generation, worker=slot)
     return body
+
+
+def _sync_weights(reader: SharedWeightReader, engine) -> bool:
+    """Move ``engine`` onto the newest published generation; True on swap.
+
+    A swap drops the engine's day memo.  A failed adoption (e.g. an
+    architecture-changing checkpoint) is survived: the model keeps its
+    weights, and the reader keeps reporting and mapping their
+    generation.
+    """
+    try:
+        swapped = reader.refresh(partial(adopt_views, engine.model))
+    except Exception:
+        # keep serving the previous weights; the parent's swap
+        # machinery owns reporting/promotion correctness
+        return False
+    if swapped:
+        engine.forget()
+    return swapped
 
 
 def _cluster_worker_main(slot: int, task_conn, event_conn,
@@ -92,15 +114,15 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
     Hot swap: the generation word is checked **between** requests; a
     request already being computed finishes on the weights it started
     with (the reader keeps the previous generation mapped one swap
-    back).  A failed adoption (e.g. an architecture-changing checkpoint)
-    is survived by continuing on the old weights.
+    back).  A successful adoption drops the engine's day memo; a failed
+    one (e.g. an architecture-changing checkpoint) is survived by
+    continuing on the old weights (:func:`_sync_weights`).
     """
     die_with_parent()
     from .engine import InferenceEngine
 
     reader = SharedWeightReader(base_name)
-    reader.refresh()
-    adopt_views(servable.model, reader.views())
+    reader.refresh(partial(adopt_views, servable.model))
     engine = InferenceEngine(servable)
     while True:
         try:
@@ -111,13 +133,7 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
             break
         req_id, op, query = message
         try:
-            try:
-                if reader.refresh():
-                    adopt_views(servable.model, reader.views())
-            except Exception:
-                # keep serving the previous weights; the parent's swap
-                # machinery owns reporting/promotion correctness
-                pass
+            _sync_weights(reader, engine)
             payload = _worker_execute(engine, reader, slot, op, query)
             response = (req_id, "ok", payload)
         except BaseException as exc:        # noqa: BLE001 — ship to parent

@@ -30,10 +30,25 @@ from .registry import ServableModel
 class InferenceEngine:
     """Score one :class:`ServableModel` on demand.
 
-    Not a cache: every :meth:`scores` call is a real forward pass.
-    Deduplication of concurrent identical requests is the
-    :class:`~repro.serve.batcher.MicroBatcher`'s job, which keeps the
-    batch-size-1 baseline in the load-test honest.
+    Two entry points over the one forward:
+
+    - :meth:`scores` always runs a real forward pass.  The threaded
+      :class:`~repro.serve.service.RankingService` micro-batcher calls
+      it, so deduplicating concurrent identical requests stays the
+      :class:`~repro.serve.batcher.MicroBatcher`'s job and the
+      batch-size-1 baseline of ``benchmarks/bench_serving.py`` measures
+      real forwards.
+    - :meth:`cached_scores` memoises by resolved day.  The weights and a
+      day's feature window are both fixed for the engine's lifetime, so
+      a day's ranking never changes until the weights do; cluster
+      workers and the ingest re-rank score through it.  Whoever swaps
+      the weights under the engine calls :meth:`forget` (a cluster
+      worker, after adopting a new shared-memory generation); replacing
+      the engine (:meth:`RankingService.reload`) drops the memo with it.
+
+    The memo holds at most one ``(N,)`` float64 array per servable day:
+    about 10 MB per engine on the full NASDAQ preset (854 stocks, 1,542
+    days).
     """
 
     def __init__(self, servable: ServableModel,
@@ -46,6 +61,8 @@ class InferenceEngine:
             set_graph_mode(self.model, self.graph_mode)
         self.forwards = 0
         self.forward_seconds = 0.0
+        self.memo_misses = 0
+        self._memo: Dict[int, np.ndarray] = {}
 
     @property
     def dataset(self):
@@ -85,9 +102,30 @@ class InferenceEngine:
         self.forward_seconds += time.perf_counter() - start
         return np.asarray(out.data, dtype=float).reshape(-1)
 
+    def cached_scores(self, day: Optional[int] = None) -> np.ndarray:
+        """:meth:`scores` for ``day``, computed once until :meth:`forget`.
+
+        The returned array is read-only and shared by every caller.
+        Concurrent first calls for one day may each run the forward;
+        the results are bitwise-equal, so the last store wins harmlessly.
+        """
+        day = self.resolve_day(day)
+        scores = self._memo.get(day)
+        if scores is None:
+            scores = self.scores(day)
+            scores.flags.writeable = False
+            self._memo[day] = scores
+            self.memo_misses += 1
+        return scores
+
+    def forget(self) -> None:
+        """Drop every memoised day (the weights under the engine moved)."""
+        self._memo = {}
+
     def stats(self) -> Dict[str, Any]:
         return {"version": self.servable.version,
                 "model": self.servable.model_name,
                 "graph_mode": self.graph_mode,
                 "forwards": self.forwards,
-                "forward_seconds": self.forward_seconds}
+                "forward_seconds": self.forward_seconds,
+                "memo_misses": self.memo_misses}

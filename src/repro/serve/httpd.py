@@ -36,6 +36,7 @@ cluster front-end (:mod:`repro.serve.cluster`) reuses: route resolution
 from __future__ import annotations
 
 import json
+import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -46,6 +47,9 @@ from .service import RankingService, ServiceTimeoutError
 #: canonical API ops, keyed by their ``/v1/`` path segment.
 API_OPS = ("health", "models", "scores", "top_k", "rank", "delta",
            "stats", "reload", "ingest")
+
+#: the only spelling of an integer query parameter (ASCII digits)
+_INTEGER = re.compile(r"-?[0-9]+")
 
 #: ops that mutate server state and therefore want POST (GET still
 #: answers for operator convenience — reload is idempotent).
@@ -109,14 +113,19 @@ def parse_query(query_string: str) -> Dict[str, str]:
 
 
 def query_int(query: Dict[str, str], name: str) -> Optional[int]:
+    """An integer query parameter: ``-?[0-9]+`` in ASCII, else ``400``.
+
+    ``int()`` alone also accepts ``1_0``, ``+5``, padding whitespace and
+    non-ASCII digits such as ``١٠``; none of those is an integer on the
+    wire.
+    """
     raw = query.get(name)
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
+    if _INTEGER.fullmatch(raw) is None:
         raise ValueError(f"query parameter {name!r} must be an integer, "
-                         f"got {raw!r}") from None
+                         f"got {raw!r}")
+    return int(raw)
 
 
 def content_length(raw: Optional[str]) -> int:

@@ -206,9 +206,12 @@ class RankingService:
         """Drop cached engines so the next request reloads from disk.
 
         With ``version=None`` every cached engine is evicted — the hot
-        path a checkpoint promotion takes.  In-flight requests keep the
-        engine object they already resolved; only *new* requests see the
-        reloaded weights.  Returns ``{"reloaded": [...versions...]}``.
+        path a checkpoint promotion takes.  The registry's copy of each
+        dropped version goes too, so the next request re-reads its
+        archive; a fresh engine also starts with an empty score memo.
+        In-flight requests keep the engine object they already resolved;
+        only *new* requests see the reloaded weights.  Returns
+        ``{"reloaded": [...versions...]}``.
         """
         self.registry.discover()
         with self._engines_lock:
@@ -218,6 +221,8 @@ class RankingService:
             else:
                 dropped = [version] if version in self._engines else []
                 self._engines.pop(version, None)
+            for name in dropped:
+                self.registry.evict(name)
         with self._last_served_lock:
             if version is None:
                 self._last_served.clear()

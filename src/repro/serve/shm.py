@@ -37,7 +37,7 @@ import json
 import os
 import secrets
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -376,7 +376,9 @@ class SharedWeightReader:
 
     :meth:`refresh` is the per-request check — O(one struct unpack) when
     nothing changed, one segment attach + view adoption when the
-    front-end published a new generation.
+    front-end published a new generation.  :attr:`generation` is the
+    generation the caller's model holds, which after a refused adoption
+    is not the newest published one.
     """
 
     def __init__(self, base_name: str):
@@ -384,20 +386,42 @@ class SharedWeightReader:
         self.control = GenerationControl.attach(f"{base_name}-ctl")
         self.state: Optional[SharedModelState] = None
         self._previous: Optional[SharedModelState] = None
+        self._refused: Optional[SharedModelState] = None
+        self._seen = -1
         self.generation = -1
 
-    def refresh(self) -> bool:
+    def refresh(self, adopt: Optional[
+            Callable[[Dict[str, np.ndarray]], None]] = None) -> bool:
         """Attach the current generation if it changed; True on swap.
 
+        ``adopt(views)`` re-points the caller's model at the fresh
+        views.  The reader moves to the new generation only once it
+        returns.  When it raises, :attr:`generation` and :attr:`state`
+        stay on the generation the model still holds (its mapping stays
+        open), the refused segment is parked until the next publish,
+        and the error propagates; a refused generation is not retried.
+
         The *previous* generation's mapping is kept open for one more
-        swap: the caller re-points its model at the fresh views right
-        after this returns, but until it does, in-flight reads of the
-        old views must stay valid.  Closing lags one behind.
+        swap, so views of it that are still referenced stay valid.
+        Closing lags one behind.
         """
         current = self.control.current()
-        if current == self.generation and self.state is not None:
+        if current == self._seen:
             return False
         fresh = attach_state(f"{self.base_name}-g{current}")
+        self._seen = current
+        if self._refused is not None:
+            self._refused.close()
+            self._refused = None
+        if adopt is not None:
+            try:
+                adopt(fresh.views())
+            except BaseException:
+                # Parked, not closed: the propagating traceback can still
+                # reference its views, and closing an exported buffer
+                # fails.
+                self._refused = fresh
+                raise
         if self._previous is not None:
             self._previous.close()
         old, self.state, self.generation = self.state, fresh, current
@@ -414,8 +438,8 @@ class SharedWeightReader:
         return self.state.views()
 
     def close(self) -> None:
-        for state in (self.state, self._previous):
+        for state in (self.state, self._previous, self._refused):
             if state is not None:
                 state.close()
-        self.state = self._previous = None
+        self.state = self._previous = self._refused = None
         self.control.close()

@@ -12,8 +12,9 @@ path: ``POST /v1/ingest`` hands it one day's event batch, and the
    runs under the cache lock via
    :meth:`NormalizedAdjacencyCache.apply_delta`, renormalizing only the
    touched rows — O(affected) instead of O(nnz));
-2. **re-ranks** by smoothing the model's base scores over the updated
-   normalized adjacency — ``s' = (1 − α)·s + α·(Â s)`` — a relational
+2. **re-ranks** by smoothing the model's base scores (memoised per
+   engine: one forward per weight load) over the updated normalized
+   adjacency — ``s' = (1 − α)·s + α·(Â s)`` — a relational
    re-ranking pass that works for every strategy and is O(nnz);
 3. enforces a **tick budget**: if the tick overruns
    ``tick_budget_ms`` before the fresh ranking exists, the *last served
@@ -222,8 +223,12 @@ class StreamIngestor:
 
     def _rerank(self, engine, state: _StreamState
                 ) -> List[Dict[str, Any]]:
-        """Smooth base scores over the live Â and rank the universe."""
-        scores = np.asarray(engine.scores(None), dtype=np.float64)
+        """Smooth base scores over the live Â and rank the universe.
+
+        The base scores come from the engine's per-day memo, so only the
+        first tick after a (re)load runs a forward.
+        """
+        scores = np.asarray(engine.cached_scores(None), dtype=np.float64)
         return ranked(engine, self._smooth(state.dynamic, scores))
 
     def _smooth(self, dynamic: DynamicNormalizedAdjacency,

@@ -105,3 +105,44 @@ class TestGraphModeDispatch:
         assert stats["forwards"] == 2
         assert stats["forward_seconds"] > 0
         assert stats["version"] == "best"
+
+
+class TestScoreMemo:
+    def test_cached_scores_bitwise_equal_forward(self, servable):
+        engine = InferenceEngine(servable)
+        for day in (30, 100, None):
+            assert (engine.cached_scores(day).tobytes()
+                    == engine.scores(day).tobytes())
+
+    def test_repeated_reads_run_one_forward(self, servable):
+        engine = InferenceEngine(servable)
+        first = engine.cached_scores(100)
+        for _ in range(5):
+            assert engine.cached_scores(100) is first
+        # None and a negative day resolve to the same memoised day
+        latest = engine.cached_scores(None)
+        assert engine.cached_scores(-1) is latest
+        stats = engine.stats()
+        assert stats["forwards"] == 2
+        assert stats["memo_misses"] == 2
+
+    def test_cached_array_is_read_only(self, servable):
+        scores = InferenceEngine(servable).cached_scores(100)
+        with pytest.raises(ValueError):
+            scores[0] = 0.0
+
+    def test_forget_recomputes(self, servable):
+        engine = InferenceEngine(servable)
+        first = engine.cached_scores(100)
+        engine.forget()
+        again = engine.cached_scores(100)
+        assert again is not first
+        assert again.tobytes() == first.tobytes()
+        assert engine.stats()["forwards"] == 2
+
+    def test_scores_stays_an_unconditional_forward(self, servable):
+        engine = InferenceEngine(servable)
+        engine.cached_scores(100)
+        engine.scores(100)
+        engine.scores(100)
+        assert engine.stats()["forwards"] == 3

@@ -6,11 +6,15 @@ to the served universe the same way ``repro.cli stream`` does.
 """
 
 import json
+import shutil
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.ckpt import TrainingCheckpoint, save
+from repro.core import RTGCN
 from repro.graph import reset_adjacency_cache
 from repro.serve import ServeConfig, build
 
@@ -107,6 +111,59 @@ class TestIngestHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             post_json(base, "/v1/ingest", {"deltas": [[1, 2]]})
         assert err.value.code == 400
+
+
+class TestReRankAfterReload:
+    TICKS = ({"day": 0, "deltas": [[0, 1, 0.9], [2, 3, 1.1]]},
+             {"day": 1, "deltas": [[0, 1, 0.2]]})
+
+    @staticmethod
+    def _ticks(directory, ticks, between=None):
+        handle = build(ServeConfig(checkpoint_dir=str(directory), port=0))
+        handle.start()
+        host, port = handle.address
+        base = f"http://{host}:{port}"
+        try:
+            results = []
+            for index, tick in enumerate(ticks):
+                if index and between is not None:
+                    between(base)
+                results.append(post_json(base, "/v1/ingest", tick))
+            return results
+        finally:
+            handle.close()
+
+    def test_reload_reranks_from_the_new_weights(self, serving_ckpt_dir,
+                                                 csi_mini, tmp_path):
+        # Ingest, promote a new best.npz and reload, ingest again: the
+        # second ranking must smooth the *new* engine's scores, exactly
+        # as a server started on the new checkpoint ranks the same ticks.
+        directory = tmp_path / "ckpts"
+        directory.mkdir()
+        shutil.copy(serving_ckpt_dir / "best.npz", directory / "best.npz")
+
+        def promote(base):
+            fresh = RTGCN(csi_mini.relations, num_features=4,
+                          strategy="time", relational_filters=4,
+                          rng=np.random.default_rng(99))
+            save(TrainingCheckpoint(
+                model_state=fresh.state_dict(),
+                cursor={"epoch": 0, "batch_index": 0},
+                config={"window": 6, "num_features": 4, "seed": 3},
+                model_class="RTGCN",
+                metadata={"model": "RT-GCN (T)", "market": "csi-mini"}),
+                directory / "best.npz")
+            post_json(base, "/v1/reload", {})
+
+        old = self._ticks(serving_ckpt_dir, self.TICKS)
+        reset_adjacency_cache()
+        swapped = self._ticks(directory, self.TICKS, between=promote)
+        reset_adjacency_cache()
+        fresh = self._ticks(directory, self.TICKS)
+
+        assert swapped[0]["ranking"] == old[0]["ranking"]
+        assert swapped[1]["ranking"] == fresh[1]["ranking"]
+        assert swapped[1]["ranking"] != old[1]["ranking"]
 
 
 class TestTickBudget:

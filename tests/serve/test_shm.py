@@ -1,8 +1,15 @@
 """Generation-tagged shared-memory weights: publish/attach/adopt/retire."""
 
+import gc
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.serve.cluster import _sync_weights, _worker_execute
+from repro.serve.engine import InferenceEngine
+from repro.serve.registry import ModelRegistry
 from repro.serve.shm import (SharedWeightReader, SharedWeightStore,
                              adopt_views, attach_state, publish_state,
                              shm_available)
@@ -93,6 +100,59 @@ class TestStoreReader:
         finally:
             reader.close()
             store.close(unlink=True)
+
+
+class TestWorkerWeightSync:
+    """A cluster worker's refresh → adopt → forget step, in-process."""
+
+    def test_refused_generation_keeps_the_held_one(self, base_name,
+                                                   serving_ckpt_dir,
+                                                   monkeypatch):
+        gc.collect()                     # earlier tests' garbage
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        servable = ModelRegistry(serving_ckpt_dir).load("best")
+        model = servable.model
+        state = {name: np.array(value)
+                 for name, value in model.state_dict().items()}
+        bad = dict(state)
+        name = next(iter(bad))
+        bad[name] = np.zeros(bad[name].size + 1)       # wrong shape
+        doubled = {name: value * 2.0 for name, value in state.items()}
+
+        store = SharedWeightStore(base_name=f"{base_name}-sync", keep=2)
+        reader = SharedWeightReader(f"{base_name}-sync")
+        query = {"day": "100"}
+        try:
+            store.publish(state, version="g0")
+            reader.refresh(partial(adopt_views, model))
+            engine = InferenceEngine(servable)
+            first = _worker_execute(engine, reader, 0, "scores", query)
+
+            store.publish(bad, version="g1")
+            assert _sync_weights(reader, engine) is False
+            refused = _worker_execute(engine, reader, 0, "scores", query)
+            assert _sync_weights(reader, engine) is False   # not retried
+
+            store.publish(doubled, version="g2")
+            assert _sync_weights(reader, engine) is True
+            adopted = _worker_execute(engine, reader, 0, "scores", query)
+
+            assert [first["generation"], refused["generation"],
+                    adopted["generation"]] == [0, 0, 2]
+            assert refused["scores"] == first["scores"]
+            assert adopted["scores"] != first["scores"]     # memo dropped
+            assert engine.stats()["forwards"] == 2
+        finally:
+            for param in model.parameters():
+                param.data = np.array(param.data)
+            reader.close()
+            store.close(unlink=True)
+            gc.collect()
+        # the model aliasing a closed generation: "cannot close exported
+        # pointers exist" when the mapping is torn down
+        assert not [hook.exc_value for hook in unraisable
+                    if isinstance(hook.exc_value, BufferError)]
 
 
 class TestAdoptViews:

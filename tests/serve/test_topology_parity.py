@@ -114,3 +114,23 @@ def test_bad_content_length_is_bad_request(handles, topology, length):
     head, _, body = response.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 400 "), response
     assert json.loads(body)["error"]["code"] == "bad_request"
+
+
+@TOPOLOGIES
+@pytest.mark.parametrize("query", [
+    "k=1_0", "k=%2B5", "k=+5", "k=%207%20", "k=%D9%A1%D9%A0", "k=5.0",
+    "day=1_00", "day=%EF%BC%91%EF%BC%90%EF%BC%90",
+], ids=["underscore", "plus", "plus-as-space", "padded", "arabic-indic",
+        "float", "day-underscore", "day-fullwidth"])
+def test_non_ascii_integer_query_is_bad_request(handles, topology, query):
+    # int() accepts every one of these; the wire grammar is -?[0-9]+.
+    status, payload = _fetch(handles[topology], f"/v1/top_k?{query}")
+    assert status == 400, payload
+    assert payload["error"]["code"] == "bad_request"
+
+
+@TOPOLOGIES
+def test_negative_integer_query_still_parses(handles, topology):
+    status, payload = _fetch(handles[topology], "/v1/top_k?k=3&day=-1")
+    assert status == 200, payload
+    assert payload["k"] == 3
