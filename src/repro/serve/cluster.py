@@ -10,7 +10,8 @@ two roles:
   parses HTTP/1.1, coalesces identical in-flight requests, and applies
   *admission control*: a bounded dispatch queue, with overflow answered
   immediately as ``429`` + ``Retry-After`` instead of queueing without
-  bound until every client times out.
+  bound until every client times out.  Worker replies are read on the
+  loop itself (:class:`_WorkerLink`), so a read costs no thread hop.
 - **Workers** — ``cluster_workers`` forked inference processes, reusing
   the PDEATHSIG/respawn plumbing of
   :class:`repro.parallel.WorkerHandle`.  Weights live in **one** shared
@@ -32,27 +33,30 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import multiprocessing
+import os
+import pickle
+import struct
 import threading
 import time
 import warnings
 from functools import partial
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlparse
 
 import numpy as np
 
 from ..parallel.pool import WorkerHandle, die_with_parent, fork_available
-from .httpd import (ApiError, classify_exception, content_length,
-                    exception_response, execute, parse_query, query_int,
+from .httpd import (ALLOWED_METHODS, ApiError, classify_exception,
+                    content_length, exception_response, execute, json_body,
+                    method_not_allowed, parse_query, query_int,
                     resolve_route)
 from .service import ranking_response
 from .shm import SharedWeightReader, SharedWeightStore, adopt_views
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            405: "Method Not Allowed", 429: "Too Many Requests",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: ops the forked workers execute; everything else runs in the parent
 WORKER_OPS = ("scores", "top_k", "rank", "delta")
@@ -104,7 +108,7 @@ def _sync_weights(reader: SharedWeightReader, engine) -> bool:
 
 def _cluster_worker_main(slot: int, task_conn, event_conn,
                          servable, base_name: str) -> None:
-    """Forked inference worker: shared weights in, score payloads out.
+    """Forked inference worker: shared weights in, encoded bodies out.
 
     ``servable`` arrives via fork inheritance (model skeleton + dataset,
     copy-on-write); the parameter *storage* is immediately re-pointed at
@@ -117,6 +121,11 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
     back).  A successful adoption drops the engine's day memo; a failed
     one (e.g. an architecture-changing checkpoint) is survived by
     continuing on the old weights (:func:`_sync_weights`).
+
+    An answered op is shipped as its finished response body (bytes from
+    :func:`json_body`), so the front-end writes it without decoding or
+    re-encoding; an error ships a dict the front-end turns into an
+    :class:`ApiError`.
     """
     die_with_parent()
     from .engine import InferenceEngine
@@ -134,8 +143,8 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
         req_id, op, query = message
         try:
             _sync_weights(reader, engine)
-            payload = _worker_execute(engine, reader, slot, op, query)
-            response = (req_id, "ok", payload)
+            body = _worker_execute(engine, reader, slot, op, query)
+            response = (req_id, "ok", json_body(body))
         except BaseException as exc:        # noqa: BLE001 — ship to parent
             status, code, retry_after = classify_exception(exc)
             response = (req_id, "err",
@@ -155,6 +164,59 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
 
 class _WorkerDied(RuntimeError):
     """The pipe roundtrip to a worker failed (crash / kill mid-request)."""
+
+
+class _WorkerLink:
+    """The front-end's end of one worker slot, driven on the event loop.
+
+    Replies are read from a non-blocking pipe transport and cut into
+    :class:`multiprocessing.connection.Connection` frames (a big-endian
+    4-byte length, or ``-1`` and an 8-byte length past 2 GiB) followed
+    by a pickle, so a large or half-written reply waits for more bytes
+    instead of blocking the loop.  The transport owns a duplicate of the
+    event pipe's descriptor: closing the link and closing the
+    :class:`WorkerHandle` (on an executor thread, during respawn) never
+    close the same descriptor.
+    """
+
+    def __init__(self, handle: WorkerHandle, stream: asyncio.StreamReader,
+                 transport: asyncio.ReadTransport):
+        self.handle = handle
+        self._stream = stream
+        self._transport = transport
+
+    @classmethod
+    async def open(cls, handle: WorkerHandle) -> "_WorkerLink":
+        loop = asyncio.get_running_loop()
+        stream = asyncio.StreamReader()
+        pipe = os.fdopen(os.dup(handle.event_r.fileno()), "rb", buffering=0)
+        transport, _ = await loop.connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(stream), pipe)
+        return cls(handle, stream, transport)
+
+    async def ask(self, req_id: int, op: str, query: Dict[str, str]
+                  ) -> Tuple[str, Any]:
+        """Send one task and await its ``(kind, body)`` reply."""
+        try:
+            self.handle.task_w.send((req_id, op, query))
+            while True:
+                event = await self._recv()
+                if event[0] == req_id:
+                    return event[1], event[2]
+                # stale reply from a request whose waiters gave up
+        except (EOFError, OSError) as exc:
+            raise _WorkerDied(
+                f"worker {self.handle.slot} died mid-request "
+                f"(exit code {self.handle.process.exitcode})") from exc
+
+    async def _recv(self) -> Any:
+        size, = struct.unpack("!i", await self._stream.readexactly(4))
+        if size == -1:
+            size, = struct.unpack("!Q", await self._stream.readexactly(8))
+        return pickle.loads(await self._stream.readexactly(size))
+
+    def close(self) -> None:
+        self._transport.close()
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +339,7 @@ class ServingCluster:
         self._stop_async = asyncio.Event()
         self._queue: "asyncio.Queue" = asyncio.Queue(
             maxsize=self.config.max_queue)
-        self._inflight: Dict[Any, asyncio.Future] = {}
+        self._inflight: Dict[Any, List[asyncio.Future]] = {}
         try:
             server = await asyncio.start_server(
                 self._handle_connection, self.config.host,
@@ -319,8 +381,13 @@ class ServingCluster:
                 method, target, headers, body = request
                 keep_alive = (headers.get("connection", "").lower()
                               != "close")
-                status, extra, payload = await self._dispatch(
-                    method, target, body)
+                if method in ALLOWED_METHODS:
+                    status, extra, payload = await self._dispatch(
+                        target, body)
+                else:
+                    # as on the threaded server: answer, then close
+                    status, extra, payload = method_not_allowed(method)
+                    keep_alive = False
                 writer.write(self._render(status, extra, payload,
                                           keep_alive))
                 await writer.drain()
@@ -361,8 +428,10 @@ class ServingCluster:
 
     @staticmethod
     def _render(status: int, extra: Dict[str, str],
-                payload: Dict[str, Any], keep_alive: bool) -> bytes:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+                payload: Union[bytes, Dict[str, Any]],
+                keep_alive: bool) -> bytes:
+        """One response; ``bytes`` payloads are worker-encoded bodies."""
+        body = payload if isinstance(payload, bytes) else json_body(payload)
         reason = _REASONS.get(status, "OK")
         lines = [f"HTTP/1.1 {status} {reason}",
                  "Content-Type: application/json",
@@ -375,8 +444,9 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # routing / dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, method: str, target: str, body: bytes = b""
-                        ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
+    async def _dispatch(self, target: str, body: bytes = b""
+                        ) -> Tuple[int, Dict[str, str],
+                                   Union[bytes, Dict[str, Any]]]:
         parsed = urlparse(target)
         query = parse_query(parsed.query)
         op = resolve_route(parsed.path)
@@ -415,6 +485,7 @@ class ServingCluster:
                 "max_queue": self.config.max_queue,
                 "generation": self._shm_store.current_generation(),
                 "swaps": self.swaps,
+                "frontend_cpu_s": time.process_time(),
             }
             return snap
         if op == "reload":
@@ -430,7 +501,7 @@ class ServingCluster:
             None, execute, self.service, op, query, body)
 
     async def _dispatch_worker(self, op: str, query: Dict[str, str]
-                               ) -> Dict[str, Any]:
+                               ) -> bytes:
         """Admit one ranking request to the worker queue (or shed it).
 
         The workers hold only the served version's weights, so a
@@ -446,109 +517,105 @@ class ServingCluster:
             self.telemetry.record_error(op)
             raise ApiError(503, "unavailable", "no inference workers "
                            "alive", retry_after=self.config.retry_after_s)
+        # Identical in-flight requests share one queue entry and one
+        # worker reply; each waiter has its own future and deadline.
         key = (op, tuple(sorted(query.items())))
-        shared = self._inflight.get(key)
-        if shared is None:
-            future: "asyncio.Future" = asyncio.get_running_loop() \
-                .create_future()
-            self._inflight[key] = future
-            future.add_done_callback(
-                lambda _f, _k=key: self._inflight.pop(_k, None))
+        waiters = self._inflight.get(key)
+        if waiters is None:
             try:
-                self._queue.put_nowait((key[0], query, future, 0))
+                self._queue.put_nowait((op, query, key, 0))
             except asyncio.QueueFull:
-                self._inflight.pop(key, None)
                 self.telemetry.record_shed(op)
                 raise ApiError(
                     429, "overloaded",
                     f"dispatch queue full ({self.config.max_queue} "
                     "requests waiting); retry later",
                     retry_after=self.config.retry_after_s) from None
-        else:
-            future = shared
+            waiters = self._inflight[key] = []
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+        waiters.append(waiter)
         depth = self._queue.qsize()
+        deadline = loop.call_later(self.config.default_timeout,
+                                   self._expire, waiter)
         try:
-            payload = await asyncio.wait_for(
-                asyncio.shield(future), timeout=self.config.default_timeout)
-        except asyncio.TimeoutError:
-            self.telemetry.record_error(op)
-            raise ApiError(503, "timeout",
-                           f"request missed its "
-                           f"{self.config.default_timeout:g}s deadline",
-                           retry_after=self.config.retry_after_s) from None
+            payload = await waiter
         except ApiError:
             self.telemetry.record_error(op)
             raise
+        finally:
+            deadline.cancel()
         self.telemetry.record_request(op, time.perf_counter() - start,
                                       queue_depth=depth)
         return payload
 
-    async def _worker_proxy(self, slot: int) -> None:
-        """One task per worker: pull from the queue, roundtrip the pipe.
+    def _expire(self, waiter: asyncio.Future) -> None:
+        """Fail ``waiter`` with a 503 timeout unless it has its answer."""
+        if not waiter.done():
+            waiter.set_exception(ApiError(
+                503, "timeout", f"request missed its "
+                f"{self.config.default_timeout:g}s deadline",
+                retry_after=self.config.retry_after_s))
 
-        A crashed worker (EOF mid-roundtrip) is respawned into the same
-        slot and the request retried up to ``crash_retries`` times; the
+    def _settle(self, key, outcome: Any) -> None:
+        """Hand one outcome (a body or an exception) to every waiter."""
+        for waiter in self._inflight.pop(key):
+            if waiter.done():               # its deadline passed
+                continue
+            if isinstance(outcome, BaseException):
+                waiter.set_exception(outcome)
+            else:
+                waiter.set_result(outcome)
+
+    async def _worker_proxy(self, slot: int) -> None:
+        """One task per worker: pull from the queue, ask over the link.
+
+        A crashed worker (EOF mid-reply) is respawned into the same slot
+        and the request retried up to ``crash_retries`` times; the
         retries ride the front of the queue so a crash cannot reorder a
         request behind the whole backlog.
         """
         loop = asyncio.get_running_loop()
-        while True:
-            op, query, future, attempts = await self._queue.get()
-            if future.done():               # waiter(s) already timed out
-                continue
-            handle = self._handles[slot]
-            try:
-                result = await loop.run_in_executor(
-                    None, self._roundtrip, handle, op, query)
-            except _WorkerDied as exc:
-                await loop.run_in_executor(None, self._respawn, slot)
-                if attempts < self.config.crash_retries:
-                    try:
-                        self._queue.put_nowait((op, query, future,
-                                                attempts + 1))
-                    except asyncio.QueueFull:
-                        if not future.done():
-                            future.set_exception(ApiError(
+        link = await _WorkerLink.open(self._handles[slot])
+        try:
+            while True:
+                op, query, key, attempts = await self._queue.get()
+                if all(w.done() for w in self._inflight[key]):
+                    del self._inflight[key]  # every waiter timed out
+                    continue
+                try:
+                    kind, body = await link.ask(next(self._req_ids), op,
+                                                query)
+                except _WorkerDied as exc:
+                    link.close()
+                    await loop.run_in_executor(None, self._respawn, slot)
+                    link = await _WorkerLink.open(self._handles[slot])
+                    if attempts < self.config.crash_retries:
+                        try:
+                            self._queue.put_nowait((op, query, key,
+                                                    attempts + 1))
+                            continue
+                        except asyncio.QueueFull:
+                            body = ApiError(
                                 503, "unavailable",
                                 "worker crashed and the retry queue is "
-                                "full",
-                                retry_after=self.config.retry_after_s))
-                elif not future.done():
-                    future.set_exception(ApiError(
-                        503, "unavailable",
-                        f"request crashed its worker on all "
-                        f"{attempts + 1} attempt(s): {exc}",
-                        retry_after=self.config.retry_after_s))
-                continue
-            except Exception as exc:        # noqa: BLE001
-                if not future.done():
-                    future.set_exception(exc)
-                continue
-            kind, body = result
-            if future.done():
-                continue
-            if kind == "ok":
-                future.set_result(body)
-            else:
-                future.set_exception(ApiError(
-                    body["status"], body["code"], body["message"],
-                    retry_after=body.get("retry_after")))
-
-    def _roundtrip(self, handle: WorkerHandle, op: str,
-                   query: Dict[str, str]) -> Tuple[str, Dict[str, Any]]:
-        """Blocking pipe send/recv (runs on an executor thread)."""
-        req_id = next(self._req_ids)
-        try:
-            handle.task_w.send((req_id, op, query))
-            while True:
-                event = handle.event_r.recv()
-                if event[0] == req_id:
-                    return event[1], event[2]
-                # stale reply from a request whose waiters gave up
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            raise _WorkerDied(
-                f"worker {handle.slot} died mid-request "
-                f"(exit code {handle.process.exitcode})") from exc
+                                "full", retry_after=self.config.retry_after_s)
+                    else:
+                        body = ApiError(
+                            503, "unavailable",
+                            f"request crashed its worker on all "
+                            f"{attempts + 1} attempt(s): {exc}",
+                            retry_after=self.config.retry_after_s)
+                except Exception as exc:    # noqa: BLE001
+                    body = exc
+                else:
+                    if kind != "ok":
+                        body = ApiError(body["status"], body["code"],
+                                        body["message"],
+                                        retry_after=body.get("retry_after"))
+                self._settle(key, body)
+        finally:
+            link.close()
 
     def _respawn(self, slot: int) -> None:
         handle = self._handles[slot]

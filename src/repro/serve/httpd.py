@@ -18,7 +18,9 @@ API surface:
 
 Ranking endpoints accept ``?version=<ckpt>&day=<int>`` (defaults: the
 registry's best version, the latest servable day).  Paths outside
-``/v1/`` are ``404 not_found``.
+``/v1/`` are ``404 not_found``; methods other than GET and POST are
+``405 method_not_allowed`` with ``Allow: GET, POST``, and the
+connection is closed after the answer.
 
 Errors come back as a uniform envelope —
 ``{"error": {"code", "message", "retry_after"}}`` — with a meaningful
@@ -29,8 +31,10 @@ timeout) and mirrors the ``Retry-After`` response header.
 This module also hosts the transport-agnostic pieces the asyncio
 cluster front-end (:mod:`repro.serve.cluster`) reuses: route resolution
 (:func:`resolve_route`), exception→status mapping
-(:func:`classify_exception`), and envelope rendering
-(:func:`error_payload`).
+(:func:`classify_exception`), envelope rendering (:func:`error_payload`,
+:func:`method_not_allowed`), and body encoding (:func:`json_body`, which
+the cluster's workers call so both topologies put the same bytes on the
+wire).
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ API_OPS = ("health", "models", "scores", "top_k", "rank", "delta",
 
 #: the only spelling of an integer query parameter (ASCII digits)
 _INTEGER = re.compile(r"-?[0-9]+")
+
+#: the HTTP methods the API answers; any other is ``405``
+ALLOWED_METHODS = ("GET", "POST")
 
 #: ops that mutate server state and therefore want POST (GET still
 #: answers for operator convenience — reload is idempotent).
@@ -105,6 +112,16 @@ def exception_response(exc: BaseException
     if retry_after is not None:
         headers["Retry-After"] = f"{retry_after:g}"
     return status, headers, error_payload(code, str(exc), retry_after)
+
+
+def method_not_allowed(method: str
+                       ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
+    """``(status, extra_headers, payload)`` for a method the API refuses."""
+    status, headers, payload = exception_response(ApiError(
+        405, "method_not_allowed",
+        f"method {method!r} is not allowed; use GET or POST"))
+    headers["Allow"] = ", ".join(ALLOWED_METHODS)
+    return status, headers, payload
 
 
 def parse_query(query_string: str) -> Dict[str, str]:
@@ -195,7 +212,8 @@ def execute(service: RankingService, op: str, query: Dict[str, str],
     raise ApiError(404, "not_found", f"no route for op {op!r}")
 
 
-def _json_bytes(payload: Dict[str, Any]) -> bytes:
+def json_body(payload: Dict[str, Any]) -> bytes:
+    """A response body on the wire: sorted-key JSON plus a newline."""
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -220,6 +238,19 @@ class _RankingHandler(BaseHTTPRequestHandler):
     # quiet by default; serving telemetry supersedes stderr access logs
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
+
+    def __getattr__(self, name: str) -> Any:
+        # http.server answers a method without a ``do_<METHOD>`` with
+        # its own 501 HTML page; here every method but GET/POST is 405.
+        if name.startswith("do_"):
+            return self._method_not_allowed
+        raise AttributeError(name)
+
+    def _method_not_allowed(self) -> None:
+        status, extra_headers, payload = method_not_allowed(self.command)
+        # Any request body was not read: answer, then close.
+        self._send(status, {**extra_headers, "Connection": "close"},
+                   payload)
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         self._respond()
@@ -254,7 +285,7 @@ class _RankingHandler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, extra_headers: Dict[str, str],
               payload: Dict[str, Any]) -> None:
-        body = _json_bytes(payload)
+        body = json_body(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

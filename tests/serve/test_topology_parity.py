@@ -134,3 +134,33 @@ def test_negative_integer_query_still_parses(handles, topology):
     status, payload = _fetch(handles[topology], "/v1/top_k?k=3&day=-1")
     assert status == 200, payload
     assert payload["k"] == 3
+
+
+@TOPOLOGIES
+@pytest.mark.parametrize("method, path", [
+    ("PUT", "/v1/top_k"), ("DELETE", "/v1/top_k"), ("PATCH", "/v1/reload"),
+    ("OPTIONS", "/v1/health"), ("FROB", "/v1/scores"),
+])
+def test_unsupported_method_is_405(handles, topology, method, path):
+    handle = handles[topology]
+    engine = handle.service.engine()
+    host, port = handle.address
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: 2\r\n\r\n{{}}".encode())
+        response = b""
+        while True:                   # the server answers, then closes
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {name.lower(): value for name, _, value in
+               (line.partition(": ") for line in lines[1:])}
+    assert lines[0].startswith("HTTP/1.1 405 "), response
+    assert headers["allow"] == "GET, POST"
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body)["error"]["code"] == "method_not_allowed"
+    # nothing ran: a reload would have dropped the cached engine
+    assert handle.service.engine() is engine
