@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -122,6 +123,32 @@ def bench_settings() -> dict:
     """The env-derived bench-scale knobs stamped into every artifact."""
     return {"epochs": BENCH_EPOCHS, "runs": BENCH_RUNS,
             "window": BENCH_WINDOW, "seed": BENCH_SEED}
+
+
+def provenance() -> dict:
+    """What produced a bench number: the commit, host cores, BLAS threads.
+
+    ``git_dirty`` is true when tracked files differ from ``git_sha``;
+    both are ``None`` outside a git checkout.
+    """
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            return subprocess.run(["git", *args], cwd=root, check=True,
+                                  capture_output=True, text=True).stdout
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"git_sha": sha.strip() if sha is not None else None,
+            "git_dirty": bool(status.strip()) if status is not None
+            else None,
+            "cpu_count": os.cpu_count(),
+            "blas_threads": {name: os.environ.get(name) for name in
+                             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS")}}
 
 
 def publish_result(name: str, payload: dict) -> Path:

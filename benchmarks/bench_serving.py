@@ -1,26 +1,26 @@
-"""Serving load test: micro-batching, cluster scale-out, and SLO search.
+"""Serving load test: the memo read path, the HTTP cluster, SLO search.
 
-Trains a small RT-GCN, checkpoints it, and drives the serving stack —
-built exclusively through the blessed ``build(ServeConfig(...))`` path —
-in three experiments:
+Trains a small RT-GCN, checkpoints it, and drives the server built by
+``build(ServeConfig(...))`` in three experiments:
 
-1. **closed-loop in-process** (batch1 vs batched): each client thread
-   issues its next request as soon as the previous one returns; the
-   headline is the micro-batching throughput ratio (floor: **3×**).
-2. **closed-loop over HTTP** (threaded vs cluster): the same saturating
-   load against the real listener, once for the single-process threaded
-   server and once for the forked shared-memory cluster.  On hosts with
-   ≥2 CPU cores the cluster must beat the threaded baseline at the same
-   p99 SLO; on 1-core hosts the numbers are recorded but not enforced
-   (workers can only time-slice).
-3. **open-loop SLO search** (cluster): requests are issued on a fixed
-   schedule regardless of completions — the honest arrival model — and
-   the offered rate steps up until p99 exceeds the 50 ms budget.  The
-   result is the **max sustainable QPS under SLO**.
+1. **memo reads vs forwards, in-process**: ``SERVE_CLIENTS`` threads in
+   one process call, back to back, either what a cluster worker runs per
+   ranking read (``_worker_execute`` + ``json_body`` against a warm
+   per-day memo) or one ``engine.scores`` forward per request.  The
+   worker serves a day's ranking from its memo until the weights change,
+   so this ratio is what the memo buys; floor: **3x**.
+2. **closed-loop over HTTP**: the same saturating top-k load against the
+   cluster's listener; every request must succeed.
+3. **open-loop SLO search**: requests are issued on a fixed schedule
+   regardless of completions — the honest arrival model — and the
+   offered rate steps up until p99 exceeds the 50 ms budget.  The result
+   is the **max sustainable QPS under SLO**; on hosts with >= 2 cores the
+   cluster must meet the budget at the lowest offered rate.
 
-Artifacts land in ``results/serving.json`` (schema-v1 envelope); set
-``RTGCN_BENCH_STORE=/path/db.sqlite`` to also record the report and one
-``slo`` row per HTTP mode in the experiment store.  Scale the load with
+Artifacts land in ``results/serving.json`` (schema-v1 envelope, stamped
+with the commit, core count and BLAS thread settings); set
+``RTGCN_BENCH_STORE=/path/db.sqlite`` to also record the report and the
+HTTP run's ``slo`` rows in the experiment store.  Scale the load with
 ``RTGCN_BENCH_SERVE_CLIENTS`` / ``_SECONDS``.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_serving.py``
@@ -34,15 +34,19 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.ckpt import save
 from repro.core import RTGCN, TrainConfig, Trainer
 from repro.serve import ServeConfig, build
+from repro.serve.cluster import _worker_execute
+from repro.serve.httpd import json_body
 
-from _harness import (BENCH_SEED, bench_dataset, format_table, publish,
-                      publish_result)
+from _harness import (BENCH_SEED, bench_dataset, format_table, provenance,
+                      publish, publish_result)
 
 SERVE_CLIENTS = int(os.environ.get("RTGCN_BENCH_SERVE_CLIENTS", "8"))
 SERVE_SECONDS = float(os.environ.get("RTGCN_BENCH_SERVE_SECONDS", "3.0"))
@@ -55,12 +59,15 @@ OPEN_LOOP_QPS_STEPS = tuple(
         "RTGCN_BENCH_SERVE_QPS_STEPS",
         "5,10,20,40,80,160").split(","))
 
+#: memo reads/s over forwards/s; measured 17-32x on a 2-core host
+MEMO_FLOOR = 3.0
+
 
 def train_servable_checkpoint(directory: Path) -> Path:
     """One briefly-trained RT-GCN archive with serving metadata."""
     dataset = bench_dataset(SERVE_MARKET)
     config = TrainConfig(window=10, epochs=1, max_train_days=20,
-                        seed=BENCH_SEED)
+                         seed=BENCH_SEED)
     model = RTGCN(dataset.relations, num_features=config.num_features,
                   strategy="time", rng=np.random.default_rng(BENCH_SEED))
     trainer = Trainer(model, dataset, config)
@@ -70,134 +77,111 @@ def train_servable_checkpoint(directory: Path) -> Path:
     return save(checkpoint, directory / "best.npz")
 
 
-# ---------------------------------------------------------------------
-# experiment 1: in-process closed loop (micro-batching ratio)
-# ---------------------------------------------------------------------
-def closed_loop_service(service, clients: int, seconds: float) -> dict:
-    """Drive the service facade at saturation; every client re-requests
-    on completion.  All clients ask for the same latest top-10 ranking —
-    the production-shaped hot spot micro-batching exists for."""
-    stop = time.perf_counter() + seconds
-    counts = [0] * clients
-    failures = [0] * clients
-
-    def client(index: int) -> None:
-        while time.perf_counter() < stop:
-            try:
-                service.top_k(k=10)
-                counts[index] += 1
-            except Exception:
-                failures[index] += 1
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(clients)]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    snapshot = service.telemetry.snapshot()
-    return {
-        "clients": clients,
-        "duration_seconds": elapsed,
-        "completed_requests": sum(counts),
-        "failed_requests": sum(failures),
-        "throughput_rps": sum(counts) / elapsed,
-        "latency_seconds": snapshot["latency_seconds"],
-        "queue_depth": snapshot["queue_depth"],
-        "mean_batch_size": snapshot["mean_batch_size"],
-        "batch_size_histogram": snapshot["batch_size_histogram"],
-        "batches": snapshot["batches"],
-        "forward_seconds": snapshot["forward_seconds"],
-    }
-
-
-def run_inprocess_mode(ckpt_dir: Path, label: str, max_batch: int,
-                       max_wait_ms: float, workers: int) -> dict:
-    handle = build(ServeConfig(checkpoint_dir=str(ckpt_dir), port=0,
-                               max_batch=max_batch,
-                               max_wait_ms=max_wait_ms,
-                               batch_workers=workers))
-    try:
-        handle.service.top_k(k=10)             # warm model + caches
-        result = closed_loop_service(handle.service, SERVE_CLIENTS,
-                                     SERVE_SECONDS)
-    finally:
-        handle.close()
-    result["mode"] = label
-    result["max_batch"] = max_batch
-    result["max_wait_ms"] = max_wait_ms
-    result["workers"] = workers
-    return result
-
-
-# ---------------------------------------------------------------------
-# experiment 2: HTTP closed loop (threaded vs cluster)
-# ---------------------------------------------------------------------
-def _http_get(base: str, path: str, timeout: float = 60.0) -> dict:
-    with urllib.request.urlopen(base + path, timeout=timeout) as resp:
-        return json.load(resp)
-
-
-def closed_loop_http(base: str, clients: int, seconds: float) -> dict:
-    stop = time.perf_counter() + seconds
-    counts = [0] * clients
-    failures = [0] * clients
-    latencies: list = [[] for _ in range(clients)]
-
-    def client(index: int) -> None:
-        while time.perf_counter() < stop:
-            started = time.perf_counter()
-            try:
-                _http_get(base, "/v1/top_k?k=10")
-                counts[index] += 1
-                latencies[index].append(time.perf_counter() - started)
-            except Exception:
-                failures[index] += 1
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(clients)]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    flat = sorted(x for per_client in latencies for x in per_client)
+def _percentiles(samples: List[float]) -> Dict[str, float]:
+    """Nearest-rank p50/p95/p99 in seconds (NaN when nothing finished)."""
+    flat = sorted(samples)
 
     def pct(q: float) -> float:
         if not flat:
             return float("nan")
         return flat[min(len(flat) - 1, int(q * len(flat)))]
 
+    return {"count": len(flat), "p50": pct(0.50), "p95": pct(0.95),
+            "p99": pct(0.99)}
+
+
+def closed_loop(request: Callable[[], object], clients: int,
+                seconds: float) -> dict:
+    """Run ``request`` back to back on ``clients`` threads for ``seconds``.
+
+    Every client issues its next request as soon as the previous one
+    returns; an exception counts as a failed request.
+    """
+    stop = time.perf_counter() + seconds
+    counts = [0] * clients
+    failures = [0] * clients
+    latencies: List[List[float]] = [[] for _ in range(clients)]
+
+    def client(index: int) -> None:
+        while time.perf_counter() < stop:
+            started = time.perf_counter()
+            try:
+                request()
+            except Exception:
+                failures[index] += 1
+                continue
+            counts[index] += 1
+            latencies[index].append(time.perf_counter() - started)
+
+    threads = [threading.Thread(target=client, args=(i,))
+               for i in range(clients)]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - started
     return {
         "clients": clients,
         "duration_seconds": elapsed,
         "completed_requests": sum(counts),
         "failed_requests": sum(failures),
         "throughput_rps": sum(counts) / elapsed,
-        "latency_seconds": {"count": len(flat), "p50": pct(0.50),
-                            "p95": pct(0.95), "p99": pct(0.99)},
+        "latency_seconds": _percentiles(
+            [x for per_client in latencies for x in per_client]),
     }
 
 
-def run_http_mode(ckpt_dir: Path, mode: str, workers: int,
-                  store_path: str) -> dict:
+# ---------------------------------------------------------------------
+# experiment 1: memo reads vs forwards, in-process
+# ---------------------------------------------------------------------
+def run_inprocess(ckpt_dir: Path) -> List[dict]:
+    handle = build(ServeConfig(checkpoint_dir=str(ckpt_dir), port=0))
+    try:
+        engine = handle.service.engine()
+        # _worker_execute reads only ``generation`` from a worker's
+        # shared-memory reader
+        reader = SimpleNamespace(generation=0)
+        query = {"k": "10"}
+
+        def memo_read() -> bytes:
+            return json_body(_worker_execute(engine, reader, 0, "top_k",
+                                             query))
+
+        memo_read()                    # the day's one forward
+        memo = closed_loop(memo_read, SERVE_CLIENTS, SERVE_SECONDS)
+        forward = closed_loop(engine.scores, SERVE_CLIENTS, SERVE_SECONDS)
+    finally:
+        handle.close()
+    memo["mode"] = "memo-read"
+    forward["mode"] = "forward"
+    return [memo, forward]
+
+
+# ---------------------------------------------------------------------
+# experiment 2: HTTP closed loop
+# ---------------------------------------------------------------------
+def _http_get(base: str, path: str, timeout: float = 60.0) -> dict:
+    with urllib.request.urlopen(base + path, timeout=timeout) as resp:
+        return json.load(resp)
+
+
+def run_http(ckpt_dir: Path, store_path: str) -> dict:
     handle = build(ServeConfig(
-        checkpoint_dir=str(ckpt_dir), port=0, mode=mode,
-        cluster_workers=workers, slo_p99_ms=SLO_P99_MS,
+        checkpoint_dir=str(ckpt_dir), port=0,
+        cluster_workers=CLUSTER_WORKERS, slo_p99_ms=SLO_P99_MS,
         store=store_path or None))
     handle.start()
     try:
         host, port = handle.address
         base = f"http://{host}:{port}"
         _http_get(base, "/v1/top_k?k=10")      # warm
-        result = closed_loop_http(base, SERVE_CLIENTS, SERVE_SECONDS)
+        result = closed_loop(lambda: _http_get(base, "/v1/top_k?k=10"),
+                             SERVE_CLIENTS, SERVE_SECONDS)
     finally:
         handle.close()                          # persists SLO row if store
-    result["mode"] = f"http-{mode}"
-    result["workers"] = workers if mode == "cluster" else 1
+    result["mode"] = "http-cluster"
+    result["workers"] = CLUSTER_WORKERS
     return result
 
 
@@ -237,21 +221,16 @@ def open_loop_step(base: str, qps: float, seconds: float) -> dict:
         threads.append(thread)
     for thread in threads:
         thread.join(timeout=60)
-    flat = sorted(latencies)
-
-    def pct(q: float) -> float:
-        if not flat:
-            return float("nan")
-        return flat[min(len(flat) - 1, int(q * len(flat)))]
-
+    latency = _percentiles(latencies)
     return {"offered_qps": qps, "issued": total,
-            "completed": len(flat), "failed": failures[0],
-            "p50_ms": pct(0.50) * 1000.0, "p99_ms": pct(0.99) * 1000.0}
+            "completed": latency["count"], "failed": failures[0],
+            "p50_ms": latency["p50"] * 1000.0,
+            "p99_ms": latency["p99"] * 1000.0}
 
 
 def run_open_loop(ckpt_dir: Path) -> dict:
     handle = build(ServeConfig(
-        checkpoint_dir=str(ckpt_dir), port=0, mode="cluster",
+        checkpoint_dir=str(ckpt_dir), port=0,
         cluster_workers=CLUSTER_WORKERS, slo_p99_ms=SLO_P99_MS))
     handle.start()
     steps = []
@@ -285,73 +264,60 @@ def main() -> None:
         ckpt_dir = Path(tmp)
         train_servable_checkpoint(ckpt_dir)
 
-        baseline = run_inprocess_mode(ckpt_dir, "batch1", max_batch=1,
-                                      max_wait_ms=0.0, workers=1)
-        batched = run_inprocess_mode(ckpt_dir, "batched", max_batch=64,
-                                     max_wait_ms=5.0, workers=1)
-        http_threaded = run_http_mode(ckpt_dir, "threaded", 1,
-                                      SERVE_STORE)
-        http_cluster = run_http_mode(ckpt_dir, "cluster",
-                                     CLUSTER_WORKERS, SERVE_STORE)
+        memo, forward = run_inprocess(ckpt_dir)
+        http_cluster = run_http(ckpt_dir, SERVE_STORE)
         open_loop = run_open_loop(ckpt_dir)
 
-    speedup = (batched["throughput_rps"] / baseline["throughput_rps"]
-               if baseline["throughput_rps"] > 0 else float("nan"))
-    cluster_gain = (http_cluster["throughput_rps"]
-                    / http_threaded["throughput_rps"]
-                    if http_threaded["throughput_rps"] > 0
-                    else float("nan"))
-    floor_applies = cores >= 2
+    memo_ratio = (memo["throughput_rps"] / forward["throughput_rps"]
+                  if forward["throughput_rps"] > 0 else float("nan"))
+    slo_floor_applies = cores >= 2
 
     rows = []
-    for result in (baseline, batched, http_threaded, http_cluster):
+    for result in (memo, forward, http_cluster):
         latency = result["latency_seconds"]
         rows.append([result["mode"], result["completed_requests"],
-                     result["throughput_rps"],
+                     result["failed_requests"], result["throughput_rps"],
                      latency["p50"] * 1000.0, latency["p95"] * 1000.0,
-                     latency["p99"] * 1000.0,
-                     result.get("mean_batch_size", float("nan"))])
-    note = (f"batched/batch1 throughput: {speedup:.1f}x (floor: 3x); "
-            f"cluster/threaded over HTTP: {cluster_gain:.2f}x "
-            f"({cores} core(s), floor "
-            f"{'applies' if floor_applies else 'recorded only'}); "
-            f"open-loop max sustainable: "
-            f"{open_loop['max_sustainable_qps']} qps @ p99 < "
-            f"{SLO_P99_MS:.0f}ms")
+                     latency["p99"] * 1000.0])
+    note = (f"memo reads/forwards: {memo_ratio:.1f}x (floor: "
+            f"{MEMO_FLOOR:g}x); HTTP cluster ({CLUSTER_WORKERS} workers): "
+            f"{http_cluster['failed_requests']} failed; open-loop max "
+            f"sustainable: {open_loop['max_sustainable_qps']} qps @ p99 < "
+            f"{SLO_P99_MS:.0f}ms ({cores} core(s), floor "
+            f"{'applies' if slo_floor_applies else 'recorded only'})")
     table = format_table(
         f"Serving load test — {SERVE_CLIENTS} closed-loop clients, "
-        f"{SERVE_SECONDS:.0f}s per mode ({SERVE_MARKET})",
-        ["mode", "requests", "rps", "p50 ms", "p95 ms", "p99 ms",
-         "mean batch"],
+        f"{SERVE_SECONDS:g}s per mode ({SERVE_MARKET})",
+        ["mode", "requests", "failed", "rps", "p50 ms", "p95 ms",
+         "p99 ms"],
         rows, note=note)
     publish("serving", table)
     publish_result("serving", {
+        **provenance(),
         "market": SERVE_MARKET,
         "model": "RT-GCN (T)",
-        "cpu_cores": cores,
-        "throughput_speedup": speedup,
-        "cluster_over_threaded": cluster_gain,
+        "clients": SERVE_CLIENTS,
+        "seconds_per_mode": SERVE_SECONDS,
+        "memo_over_forward": memo_ratio,
         "slo_p99_ms": SLO_P99_MS,
         "max_sustainable_qps": open_loop["max_sustainable_qps"],
-        "modes": [baseline, batched, http_threaded, http_cluster],
+        "modes": [memo, forward, http_cluster],
         "open_loop": open_loop,
     })
     print("JSON artifact: benchmarks/results/serving.json")
 
-    # The 3x micro-batching floor is calibrated for the default load
-    # (8 clients, 3s); scaled-down smoke runs record but don't enforce.
-    if SERVE_CLIENTS >= 8 and SERVE_SECONDS >= 3.0:
-        assert speedup >= 3.0, (
-            f"micro-batching speedup {speedup:.2f}x below the 3x floor")
-    if floor_applies:
-        assert cluster_gain >= 1.0, (
-            f"cluster ({CLUSTER_WORKERS} workers) slower than threaded "
-            f"at the same SLO on a {cores}-core host: {cluster_gain:.2f}x")
+    assert memo_ratio >= MEMO_FLOOR, (
+        f"memo reads only {memo_ratio:.2f}x forwards/s, below the "
+        f"{MEMO_FLOOR:g}x floor")
+    assert http_cluster["failed_requests"] == 0, (
+        f"{http_cluster['failed_requests']} HTTP request(s) failed "
+        f"against the cluster")
+    if slo_floor_applies:
         assert open_loop["max_sustainable_qps"] is not None, (
             f"cluster never met p99 < {SLO_P99_MS:.0f}ms at the lowest "
             f"offered rate {OPEN_LOOP_QPS_STEPS[0]} qps")
-    print(f"serving bench OK: batching {speedup:.1f}x, "
-          f"cluster {cluster_gain:.2f}x, sustainable "
+    print(f"serving bench OK: memo reads {memo_ratio:.1f}x forwards, "
+          f"0 failed HTTP requests, sustainable "
           f"{open_loop['max_sustainable_qps']} qps")
 
 

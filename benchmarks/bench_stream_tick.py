@@ -15,8 +15,8 @@ Two experiments around the time-evolving relation graph of
    ``EQUIV_EVERY`` days and on the final day.
 
 2. **online replay under the tick budget** — train a small RT-GCN,
-   serve it through the blessed ``build(ServeConfig(...))`` threaded
-   stack, and replay the ``default`` scenario against ``POST
+   serve it through the blessed ``build(ServeConfig(...))`` cluster,
+   and replay the ``default`` scenario against ``POST
    /v1/ingest`` at the default 250 ms tick budget.  The run must
    sustain **zero fallback rankings** (every tick computed fresh).
 

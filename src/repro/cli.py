@@ -19,8 +19,7 @@ profile
     Train briefly under the op profiler and print per-op / per-phase
     cost tables, writing a JSON report (see ``docs/observability.md``).
 serve
-    Serve trained checkpoints over HTTP — threaded micro-batched
-    inference or, with ``--mode cluster``, an asyncio front-end over
+    Serve trained checkpoints over HTTP: an asyncio front-end over
     forked shared-memory workers with admission control and hot reload
     (see ``docs/serving.md``).
 query
@@ -192,7 +191,6 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
 #: serve flag spellings that differ from the mechanical --field-name form
 #: (the first spelling is the historical flag, kept working)
 _SERVE_FIELD_FLAGS = {
-    "batch_workers": ("--workers", "--batch-workers"),
     "default_timeout": ("--timeout", "--default-timeout"),
     "mode": ("--mode", "--serve-mode"),
 }
@@ -200,7 +198,6 @@ _SERVE_FIELD_FLAGS = {
 #: argument type for Optional[...] ServeConfig fields
 _SERVE_OPTIONAL_TYPES = {
     "model": str, "market": str, "seed": int, "memory_budget_mb": float,
-    "straggler_poll_ms": float, "idle_poll_ms": float,
     "slo_p99_ms": float, "store": str,
 }
 
@@ -215,22 +212,15 @@ _SERVE_FIELD_HELP = {
                         "parameters",
     "host": "bind address",
     "port": "bind port (0 = ephemeral)",
-    "mode": "serving topology: threaded | cluster (docs/serving.md)",
-    "cluster_workers": "forked inference workers (cluster mode)",
+    "mode": "serving topology; cluster is the only one (docs/serving.md)",
+    "cluster_workers": "forked inference workers",
     "crash_retries": "per-request worker respawn+retry budget",
-    "max_batch": "micro-batch size cap",
-    "max_wait_ms": "micro-batch coalescing window (0 = unbatched)",
-    "straggler_poll_ms": "in-window wait per extra request (default: "
-                         "max-wait/8)",
-    "idle_poll_ms": "idle worker stop-flag poll (shutdown latency only)",
-    "batch_workers": "batcher worker threads",
     "default_timeout": "per-request deadline in seconds",
-    "max_queue": "cluster admission bound; overflow answers 429",
+    "max_queue": "dispatch queue bound; overflow answers 429",
     "retry_after_s": "Retry-After hint sent with 429/503",
     "slo_p99_ms": "p99 latency budget; evaluated in telemetry and "
                   "recorded in the store's slo table",
-    "watch_interval_s": "checkpoint-dir poll interval for hot reload "
-                        "(cluster mode)",
+    "watch_interval_s": "checkpoint-dir poll interval for hot reload",
     "tick_budget_ms": "streaming ingest tick budget; overrun serves the "
                       "last ranking instead (docs/streaming.md)",
     "stream_alpha": "graph-smoothing weight of the streaming re-rank "
@@ -509,38 +499,38 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve checkpoints over HTTP (see docs/serving.md).
 
-    The whole stack comes from :func:`repro.serve.build` — threaded or
-    cluster per ``--mode`` — so this command contains zero construction
-    logic of its own.
+    The whole stack comes from :func:`repro.serve.build`, so this
+    command contains zero construction logic of its own.
     """
     from .serve import build
 
     config = _serve_config_from_args(args)
     handle = build(config)
-    registry = handle.service.registry
-    available = registry.discover()
+    available = handle.service.registry.discover()
     if not available:
         handle.close()
         raise SystemExit(f"no checkpoints in {config.checkpoint_dir}; run "
                          "`repro.cli train --checkpoint-dir ...` first")
-    if config.mode == "threaded":
-        registry.warm([args.version] if args.version else None)
     handle.start()
+    # A server started with `&` from a non-interactive shell inherits
+    # SIGINT as ignored; restore it so `kill -INT` still shuts down
+    # cleanly (and persists the telemetry).  SIGTERM — what `kill`,
+    # systemd and docker send — takes the same path.  The workers are
+    # already forked and keep the default handlers.  Both handlers are
+    # in place before the banner, so a caller that signals as soon as
+    # it reads the banner always gets the clean shutdown.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     host, port = handle.address
     print(f"serving {len(available)} checkpoint(s) from "
           f"{config.checkpoint_dir} on http://{host}:{port} "
           f"(mode: {config.mode})")
-    if config.mode == "cluster":
-        print(f"  workers: {config.cluster_workers} (shared-memory "
-              f"weights, hot reload every {config.watch_interval_s:g}s)")
-    else:
-        print(f"  loaded: {registry.loaded_versions()}")
+    print(f"  workers: {config.cluster_workers} (shared-memory "
+          f"weights, hot reload every {config.watch_interval_s:g}s)")
+    # flushed: with stdout on a pipe the banner would otherwise sit in
+    # the buffer until exit, and a supervisor waiting on it would hang
     print("  endpoints: /v1/health /v1/models /v1/scores /v1/top_k "
-          "/v1/rank /v1/delta /v1/stats /v1/reload")
-    # A server started with `&` from a non-interactive shell inherits
-    # SIGINT as ignored; restore it so `kill -INT` still shuts down
-    # cleanly (and persists the telemetry).
-    signal.signal(signal.SIGINT, signal.default_int_handler)
+          "/v1/rank /v1/delta /v1/stats /v1/reload", flush=True)
     try:
         handle.serve_forever()
     except KeyboardInterrupt:
@@ -865,9 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="serve checkpoints over HTTP (docs/serving.md)")
     _add_serve_options(serve)
-    serve.add_argument("--version", default=None,
-                       help="checkpoint version to warm at boot "
-                            "(default: best, else newest)")
 
     query = sub.add_parser(
         "query", help="query a running `serve` instance, print JSON")

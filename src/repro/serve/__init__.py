@@ -1,4 +1,4 @@
-"""repro.serve — micro-batched inference serving for trained checkpoints.
+"""repro.serve — multi-process ranking server for trained checkpoints.
 
 **Serving is built from one config**::
 
@@ -7,9 +7,9 @@
     with build(ServeConfig(checkpoint_dir="ckpts")) as handle:
         handle.serve_forever()
 
-:class:`ServeConfig` holds every knob (listener, topology, batching,
-admission control, SLO, hot reload, persistence) and :func:`build`
-wires the whole stack from it.  The layer classes below are plain
+:class:`ServeConfig` holds every knob (listener, worker count,
+admission control, SLO, hot reload, streaming ingest, persistence) and
+:func:`build` wires the whole stack from it.  The layer classes below are plain
 classes that live in their submodules, not in this namespace.
 
 The stack, bottom to top:
@@ -18,27 +18,26 @@ The stack, bottom to top:
   checkpoint archives, reconstruct models via the unified ``state_dict``
   API, LRU-cache them under a memory budget;
 - :mod:`~repro.serve.engine` — :class:`InferenceEngine`: tape-free
-  forwards with explicit dense/sparse graph-mode dispatch;
-- :mod:`~repro.serve.batcher` — :class:`MicroBatcher`: coalesce
-  concurrent requests into shared forwards;
-- :mod:`~repro.serve.service` — :class:`RankingService`: the
-  scores/top-k/rank/delta facade with timeout fallback, and the
-  response builders both topologies share;
-- :mod:`~repro.serve.httpd` — the versioned (``/v1/``) stdlib JSON
-  endpoint (``repro.cli serve`` / ``repro.cli query`` wrap it);
+  forwards with explicit dense/sparse graph-mode dispatch and a per-day
+  score memo;
+- :mod:`~repro.serve.service` — the ranking response builders, and
+  :class:`RankingService`: the front-end's registry, engines and
+  streaming ingest;
+- :mod:`~repro.serve.httpd` — the versioned (``/v1/``) API's routes,
+  request validation and JSON error envelope;
 - :mod:`~repro.serve.shm` — shared-memory weights with generation-tagged
   hot swap (:class:`SharedWeightStore` / :class:`SharedWeightReader`);
-- :mod:`~repro.serve.cluster` — :class:`ServingCluster`: asyncio
-  front-end + forked zero-copy inference workers with admission control
-  and hot reload (``ServeConfig(mode="cluster")``);
+- :mod:`~repro.serve.cluster` — :class:`ServingCluster`: the server,
+  an asyncio front-end + forked zero-copy inference workers with
+  admission control and hot reload (``repro.cli serve`` runs it,
+  ``repro.cli query`` asks it);
 - :mod:`~repro.serve.telemetry` — :class:`ServingTelemetry`: latency
-  percentiles, SLO evaluation, batch-size histograms, schema-v1 reports.
+  percentiles, SLO evaluation, schema-v1 reports.
 
 See ``docs/serving.md`` for the train → checkpoint → serve → query
 lifecycle.
 """
 
-from .batcher import BatcherClosedError
 from .client import ClientConnectError, QueryClient, fetch_endpoints
 from .cluster import ClusterError, ServingCluster
 from .config import SERVE_MODES, ServeConfig, ServeHandle, build
@@ -62,7 +61,7 @@ __all__ = [
     "QueryClient", "fetch_endpoints", "ClientConnectError",
     # errors / telemetry / helpers
     "ApiError", "ServiceTimeoutError", "RegistryError",
-    "BatcherClosedError", "ServingTelemetry", "StreamIngestor",
+    "ServingTelemetry", "StreamIngestor",
     "ServableModel",
     "build_servable", "infer_rtgcn_architecture", "resolve_strategy",
 ]

@@ -42,9 +42,7 @@ class QueryClient:
     """Concurrent GETs against one server, bounded by a semaphore.
 
     Every request is a fresh ``Connection: close`` HTTP/1.1 exchange —
-    the query CLI is a poll, not a session, and both serving transports
-    (threaded stdlib server and asyncio cluster front-end) treat
-    connections as disposable.
+    the query CLI is a poll, not a session.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0,

@@ -1,9 +1,8 @@
 """Multi-process serving cluster: asyncio front-end + forked workers.
 
-The threaded server (:mod:`repro.serve.httpd`) runs model forwards on
-the request threads of one process; past a handful of concurrent
-clients the GIL serializes them.  :class:`ServingCluster` splits the
-two roles:
+:class:`ServingCluster` is the server: one process parses and admits
+requests, forked processes compute and encode ranking bodies, so model
+forwards never share the front-end's GIL.  The two roles:
 
 - **Front-end** — a single asyncio event loop accepts every connection
   (thousands of idle keep-alive sockets cost one fd each, no threads),
@@ -25,8 +24,8 @@ two roles:
   mapped), no request is ever dropped, and post-swap scores are
   bitwise-identical to a fresh engine on the new checkpoint.
 
-Construction goes through :func:`repro.serve.build` with
-``ServeConfig(mode="cluster")``.
+Construction goes through :func:`repro.serve.build`.  The cluster
+needs the ``fork`` start method and POSIX shared memory.
 """
 
 from __future__ import annotations
@@ -55,7 +54,9 @@ from .service import ranking_response
 from .shm import SharedWeightReader, SharedWeightStore, adopt_views
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 429: "Too Many Requests",
+            405: "Method Not Allowed", 414: "URI Too Long",
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: ops the forked workers execute; everything else runs in the parent
@@ -73,16 +74,13 @@ def _worker_execute(engine, reader: SharedWeightReader, slot: int,
                     op: str, query: Dict[str, str]) -> Dict[str, Any]:
     """One ranking op against the worker's (shared-weight) engine.
 
-    The body comes from the same :func:`ranking_response` the threaded
-    service uses, plus ``generation``/``worker``, so clients cannot tell
-    which serving topology answered — only the transport differs.
+    The body is :func:`ranking_response` plus ``generation``/``worker``.
     Scores come from the engine's per-day memo: a day is forwarded once
     per weight generation.
     """
     day = engine.resolve_day(query_int(query, "day"))
     k = query_int(query, "k") if op == "top_k" else None
-    body = ranking_response(op, engine, day,
-                            lambda d: (engine.cached_scores(d), False), k=k)
+    body = ranking_response(op, engine, day, k=k)
     body.update(generation=reader.generation, worker=slot)
     return body
 
@@ -162,6 +160,15 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
     reader.close()
 
 
+async def _read_head_line(reader: asyncio.StreamReader, status: int,
+                          code: str, what: str) -> bytes:
+    """One line of a request head; ``ApiError(status, code)`` if too long."""
+    try:
+        return await reader.readline()
+    except ValueError:          # StreamReader's 64 KiB limit overrun
+        raise ApiError(status, code, f"{what} exceeds 64 KiB") from None
+
+
 class _WorkerDied(RuntimeError):
     """The pipe roundtrip to a worker failed (crash / kill mid-request)."""
 
@@ -237,8 +244,8 @@ class ServingCluster:
     def __init__(self, config, service, telemetry):
         if not fork_available():
             raise ClusterError(
-                "cluster mode requires the 'fork' start method; use "
-                "ServeConfig(mode='threaded') on this platform")
+                "serving requires the 'fork' multiprocessing start "
+                "method, which this platform does not provide")
         self.config = config
         self.service = service
         self.telemetry = telemetry
@@ -385,7 +392,7 @@ class ServingCluster:
                     status, extra, payload = await self._dispatch(
                         target, body)
                 else:
-                    # as on the threaded server: answer, then close
+                    # any request body was not read: answer, then close
                     status, extra, payload = method_not_allowed(method)
                     keep_alive = False
                 writer.write(self._render(status, extra, payload,
@@ -393,8 +400,7 @@ class ServingCluster:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.LimitOverrunError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             writer.close()
@@ -407,17 +413,29 @@ class ServingCluster:
     async def _read_request(
             reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request (head + body); None on clean EOF."""
-        line = await reader.readline()
+        """Parse one HTTP/1.1 request (head + body); None on clean EOF.
+
+        Empty lines before the request line are skipped (RFC 9112
+        section 2.2).  A head the server cannot parse raises
+        :class:`ApiError`: ``400`` for a request line without a method
+        and a target, ``414`` for a request line and ``431`` for a header
+        line longer than the stream's 64 KiB line limit.
+        """
+        line = b"\r\n"
+        while line in (b"\r\n", b"\n"):
+            line = await _read_head_line(reader, 414, "uri_too_long",
+                                         "request line")
         if not line:
             return None
         parts = line.decode("latin-1").split()
         if len(parts) < 2:
-            raise ConnectionError("malformed request line")
+            raise ApiError(400, "bad_request",
+                           f"malformed request line {line[:80]!r}")
         method, target = parts[0], parts[1]
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await _read_head_line(reader, 431, "header_too_large",
+                                        "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
@@ -475,8 +493,7 @@ class ServingCluster:
                     "generation": self._shm_store.current_generation(),
                     "version": self._servable.version}
         if op == "stats":
-            snap = self.telemetry.snapshot()
-            snap["registry"] = self.service.registry.stats()
+            snap = self.service.stats()
             snap["cluster"] = {
                 "workers": len(self._handles),
                 "alive": sum(1 for h in self._handles
@@ -493,10 +510,9 @@ class ServingCluster:
             return {"reloaded": generation is not None,
                     "generation": self._shm_store.current_generation(),
                     "version": self._servable.version}
-        # models/ingest: the threaded server's handlers, run on an
-        # executor thread so the event loop keeps accepting connections
-        # (ingest mutates parent-side state: the process-global
-        # adjacency cache).
+        # models/ingest run on an executor thread so the event loop
+        # keeps accepting connections (ingest mutates parent-side state:
+        # the process-global adjacency cache).
         return await asyncio.get_running_loop().run_in_executor(
             None, execute, self.service, op, query, body)
 

@@ -1,27 +1,17 @@
 """ServeConfig + :func:`build` — the one way to stand up serving.
 
-Historically each layer of :mod:`repro.serve` was constructed by hand:
-a :class:`~repro.serve.registry.ModelRegistry`, then a
-:class:`~repro.serve.service.RankingService` around it, then a
-:class:`~repro.serve.httpd.RankingHTTPServer` around that — three
-constructors whose defaults had to be kept in sync by every caller
-(the CLI, the benchmarks, the tests).  This module collapses them into
-one field-driven dataclass and one factory, mirroring how
+One field-driven dataclass and one factory, mirroring how
 ``TrainConfig`` drives training::
 
     from repro.serve import ServeConfig, build
 
     handle = build(ServeConfig(checkpoint_dir="ckpts", port=0))
     with handle:
-        handle.serve_forever()        # or poke handle.service directly
+        handle.serve_forever()
 
-The individual classes are plain classes; :func:`build` composes
-them and is the documented way to construct serving.
-
-``mode="threaded"`` is the in-process server of PR 4 (thread pool +
-micro-batcher).  ``mode="cluster"`` is the multi-process asyncio
-front-end of :mod:`repro.serve.cluster`: forked inference workers
-reading weights from shared memory, admission control, and hot reload.
+The server is the multi-process asyncio cluster of
+:mod:`repro.serve.cluster`: forked inference workers reading weights
+from shared memory, admission control, and hot reload.
 """
 
 from __future__ import annotations
@@ -31,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 #: serving modes :func:`build` understands
-SERVE_MODES = ("threaded", "cluster")
+SERVE_MODES = ("cluster",)
 
 
 @dataclass
@@ -39,10 +29,10 @@ class ServeConfig:
     """Everything needed to stand up a ranking server, in one place.
 
     Field groups, top to bottom: where the models live, where to listen,
-    which serving topology, model resolution defaults, micro-batching
-    knobs, request admission / SLO policy, hot-reload policy, and
-    result persistence.  ``repro.cli serve`` derives one ``--flag`` per
-    field, so the CLI surface can never drift from this dataclass.
+    the cluster's shape, request admission / SLO policy, hot-reload
+    policy, streaming ingest, and result persistence.  ``repro.cli
+    serve`` derives one ``--flag`` per field, so the CLI surface can
+    never drift from this dataclass.
     """
 
     # model source
@@ -57,24 +47,17 @@ class ServeConfig:
     port: int = 8151                     # 0 = ephemeral (tests/benchmarks)
 
     # topology
-    mode: str = "threaded"               # "threaded" | "cluster"
-    cluster_workers: int = 2             # forked workers (cluster mode)
+    mode: str = "cluster"                # the only topology
+    cluster_workers: int = 2             # forked inference workers
     crash_retries: int = 1               # per-request respawn+retry budget
-
-    # micro-batching (threaded mode; cluster coalesces in the front-end)
-    max_batch: int = 32
-    max_wait_ms: float = 5.0
-    straggler_poll_ms: Optional[float] = None   # default: max_wait/8
-    idle_poll_ms: Optional[float] = None
-    batch_workers: int = 1
 
     # admission / deadlines / SLO
     default_timeout: float = 10.0
-    max_queue: int = 256                 # cluster admission bound
+    max_queue: int = 256                 # dispatch queue bound; 429 past it
     retry_after_s: float = 0.25          # hint sent with 429/503
     slo_p99_ms: Optional[float] = None   # p99 latency budget (telemetry)
 
-    # hot reload (cluster mode watches; threaded mode reloads on demand)
+    # hot reload: the checkpoint-dir poll interval
     watch_interval_s: float = 2.0
 
     # streaming ingest (POST /v1/ingest)
@@ -87,8 +70,9 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in SERVE_MODES:
-            raise ValueError(f"mode must be one of {SERVE_MODES}, "
-                             f"got {self.mode!r}")
+            raise ValueError(f"mode must be one of {SERVE_MODES} (the "
+                             f"threaded topology was removed), got "
+                             f"{self.mode!r}")
         if not self.checkpoint_dir:
             raise ValueError("checkpoint_dir is required (a directory of "
                              "repro.ckpt archives)")
@@ -133,67 +117,45 @@ class ServeConfig:
 class ServeHandle:
     """What :func:`build` returns: the running stack plus lifecycle.
 
-    - ``handle.service`` — the :class:`RankingService` (threaded mode;
-      in cluster mode this is the *parent-side* service the registry
-      ops run against, not the inference path).
-    - ``handle.server`` — the threaded HTTP server, or ``None`` before
-      :meth:`serve_forever` in cluster mode.
-    - ``handle.cluster`` — the :class:`~repro.serve.cluster.ServingCluster`
-      (cluster mode only).
+    - ``handle.cluster`` — the :class:`~repro.serve.cluster.ServingCluster`;
+    - ``handle.service`` — its parent-side
+      :class:`~repro.serve.service.RankingService` (registry, ``models``
+      and ``ingest``; ranking reads run in the forked workers);
     - ``handle.telemetry`` — the shared :class:`ServingTelemetry`.
 
-    Closing the handle drains the batcher/workers and, when the config
-    names a ``store``, records the final telemetry report and SLO row.
+    Closing the handle stops the workers and, when the config names a
+    ``store``, records the final telemetry report and SLO row.
     """
 
-    def __init__(self, config: ServeConfig, service, telemetry,
-                 server=None, cluster=None):
+    def __init__(self, config: ServeConfig, service, telemetry, cluster):
         self.config = config
         self.service = service
         self.telemetry = telemetry
-        self.server = server
         self.cluster = cluster
-        self._server_thread = None
         self._closed = False
 
     # ------------------------------------------------------------------
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — resolves port 0 to the real one."""
-        if self.cluster is not None and self.cluster.address is not None:
+        if self.cluster.address is not None:
             return self.cluster.address
-        if self.server is not None:
-            return self.server.server_address[:2]
         return (self.config.host, self.config.port)
 
     def start(self) -> "ServeHandle":
         """Begin serving without blocking; :attr:`address` is then live.
 
-        Cluster mode forks the workers and brings the asyncio front-end
-        up; threaded mode spins the HTTP server on a daemon thread.
+        Forks the workers and brings the asyncio front-end up.
         Idempotent.  Tests and benchmarks use this; production entry
         points call :meth:`serve_forever`.
         """
-        if self.cluster is not None:
-            self.cluster.start()
-        elif self._server_thread is None:
-            import threading
-
-            self._server_thread = threading.Thread(
-                target=self.server.serve_forever,
-                name="repro-serve-httpd", daemon=True)
-            self._server_thread.start()
+        self.cluster.start()
         return self
 
     def serve_forever(self) -> None:
         """Block serving requests until interrupted; then clean up."""
         try:
-            if self.cluster is not None:
-                self.cluster.serve_forever()
-            elif self._server_thread is not None:
-                self._server_thread.join()
-            else:
-                self.server.serve_forever()
+            self.cluster.serve_forever()
         except KeyboardInterrupt:
             pass
         finally:
@@ -205,18 +167,7 @@ class ServeHandle:
             return
         self._closed = True
         try:
-            if self.cluster is not None:
-                self.cluster.close()
-            if self.server is not None:
-                # shutdown() blocks on serve_forever's acknowledgement,
-                # which never comes if the loop was never entered — only
-                # signal a server that actually started.
-                if self._server_thread is not None:
-                    self.server.shutdown()
-                self.server.server_close()
-            if self._server_thread is not None:
-                self._server_thread.join(timeout=5.0)
-                self._server_thread = None
+            self.cluster.close()
             self.service.close()
         finally:
             # A second Ctrl-C can interrupt the teardown above; the
@@ -251,12 +202,11 @@ class ServeHandle:
 def build(config: ServeConfig) -> ServeHandle:
     """Construct the full serving stack from one :class:`ServeConfig`.
 
-    The documented construction path: registry, service,
-    batcher, telemetry, and (per ``config.mode``) the threaded HTTP
-    server or the multi-process cluster all come from here, already
-    wired together.  The returned :class:`ServeHandle` owns their
-    lifecycle.
+    The documented construction path: registry, parent-side service,
+    telemetry and the cluster all come from here, already wired
+    together.  The returned :class:`ServeHandle` owns their lifecycle.
     """
+    from .cluster import ServingCluster
     from .registry import ModelRegistry
     from .service import RankingService
     from .telemetry import ServingTelemetry
@@ -267,20 +217,8 @@ def build(config: ServeConfig) -> ServeHandle:
         memory_budget_bytes=config.memory_budget_bytes,
         model=config.model, market=config.market, seed=config.seed)
     service = RankingService(
-        registry, max_batch=config.max_batch,
-        max_wait_ms=config.max_wait_ms, workers=config.batch_workers,
-        default_timeout=config.default_timeout, telemetry=telemetry,
-        straggler_poll_ms=config.straggler_poll_ms,
-        idle_poll_ms=config.idle_poll_ms,
+        registry, telemetry=telemetry,
         tick_budget_ms=config.tick_budget_ms,
         stream_alpha=config.stream_alpha)
-    if config.mode == "cluster":
-        from .cluster import ServingCluster
-
-        cluster = ServingCluster(config, service=service,
-                                 telemetry=telemetry)
-        return ServeHandle(config, service, telemetry, cluster=cluster)
-    from .httpd import RankingHTTPServer
-
-    server = RankingHTTPServer((config.host, config.port), service)
-    return ServeHandle(config, service, telemetry, server=server)
+    cluster = ServingCluster(config, service=service, telemetry=telemetry)
+    return ServeHandle(config, service, telemetry, cluster)

@@ -32,12 +32,9 @@ class InferenceEngine:
 
     Two entry points over the one forward:
 
-    - :meth:`scores` always runs a real forward pass.  The threaded
-      :class:`~repro.serve.service.RankingService` micro-batcher calls
-      it, so deduplicating concurrent identical requests stays the
-      :class:`~repro.serve.batcher.MicroBatcher`'s job and the
-      batch-size-1 baseline of ``benchmarks/bench_serving.py`` measures
-      real forwards.
+    - :meth:`scores` always runs a real forward pass; it is what a
+      memo miss costs, and ``benchmarks/bench_serving.py`` times it as
+      the one-forward-per-request baseline.
     - :meth:`cached_scores` memoises by resolved day.  The weights and a
       day's feature window are both fixed for the engine's lifetime, so
       a day's ranking never changes until the weights do; cluster

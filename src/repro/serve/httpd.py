@@ -1,25 +1,24 @@
-"""Stdlib JSON/HTTP front-end for the :class:`RankingService`.
+"""The HTTP protocol pieces of the serving API (stdlib only).
 
-One :class:`~http.server.ThreadingHTTPServer` (no third-party web
-framework — the whole repo is stdlib+NumPy) exposing the **versioned**
-API surface:
+The asyncio cluster front-end (:mod:`repro.serve.cluster`) answers the
+**versioned** API surface:
 
 =======================  =================================================
-``GET /v1/health``        liveness + loaded versions
+``GET /v1/health``        liveness, workers alive, served version
 ``GET /v1/models``        available / loaded versions with metadata
 ``GET /v1/scores``        raw per-symbol scores
 ``GET /v1/top_k``         the k best-ranked symbols (``?k=10``)
 ``GET /v1/rank``          the full ranked universe
 ``GET /v1/delta``         day-over-day rank movement
 ``GET /v1/stats``         serving telemetry snapshot
-``POST /v1/reload``       re-discover checkpoints, drop cached engines
+``POST /v1/reload``       re-read the checkpoint dir, publish new weights
 ``POST /v1/ingest``       apply a streaming day's event batch, re-rank
 =======================  =================================================
 
-Ranking endpoints accept ``?version=<ckpt>&day=<int>`` (defaults: the
-registry's best version, the latest servable day).  Paths outside
-``/v1/`` are ``404 not_found``; methods other than GET and POST are
-``405 method_not_allowed`` with ``Allow: GET, POST``, and the
+Ranking endpoints accept ``?day=<int>`` (default: the latest servable
+day) and ``?version=<ckpt>``, which must name the served version.
+Paths outside ``/v1/`` are ``404 not_found``; methods other than GET and
+POST are ``405 method_not_allowed`` with ``Allow: GET, POST``, and the
 connection is closed after the answer.
 
 Errors come back as a uniform envelope —
@@ -28,25 +27,25 @@ status code, so a misaddressed query never manifests as an opaque 500.
 ``retry_after`` is non-null exactly when retrying helps (load shed,
 timeout) and mirrors the ``Retry-After`` response header.
 
-This module also hosts the transport-agnostic pieces the asyncio
-cluster front-end (:mod:`repro.serve.cluster`) reuses: route resolution
+This module holds the transport-agnostic pieces: route resolution
 (:func:`resolve_route`), exception→status mapping
 (:func:`classify_exception`), envelope rendering (:func:`error_payload`,
-:func:`method_not_allowed`), and body encoding (:func:`json_body`, which
-the cluster's workers call so both topologies put the same bytes on the
-wire).
+:func:`method_not_allowed`), request validation (:func:`query_int`,
+:func:`content_length`, :func:`parse_body`), the front-end's
+``models``/``ingest`` ops (:func:`execute`) and body encoding
+(:func:`json_body`, which the workers call so bodies cross the pipe
+already encoded).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 from .registry import RegistryError
-from .service import RankingService, ServiceTimeoutError
+from .service import RankingService
 
 #: canonical API ops, keyed by their ``/v1/`` path segment.
 API_OPS = ("health", "models", "scores", "top_k", "rank", "delta",
@@ -57,10 +56,6 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 #: the HTTP methods the API answers; any other is ``405``
 ALLOWED_METHODS = ("GET", "POST")
-
-#: ops that mutate server state and therefore want POST (GET still
-#: answers for operator convenience — reload is idempotent).
-MUTATING_OPS = ("reload", "ingest")
 
 
 class ApiError(Exception):
@@ -95,8 +90,6 @@ def classify_exception(exc: BaseException
     """``(status, code, retry_after)`` for an exception from the service."""
     if isinstance(exc, ApiError):
         return exc.status, exc.code, exc.retry_after
-    if isinstance(exc, ServiceTimeoutError):
-        return 503, "timeout", 1.0
     if isinstance(exc, (RegistryError, FileNotFoundError)):
         return 404, "not_found", None
     if isinstance(exc, ValueError):
@@ -148,15 +141,18 @@ def query_int(query: Dict[str, str], name: str) -> Optional[int]:
 def content_length(raw: Optional[str]) -> int:
     """The body length a ``Content-Length`` header names (absent = 0).
 
-    Anything but a non-negative integer is ``400 bad_request``: the
-    server cannot tell where the body ends, so it answers and closes.
+    ``raw`` is the header value with surrounding whitespace already
+    stripped.  Anything but ASCII digits (an empty value included) is
+    ``400 bad_request``: the server cannot tell where the body ends, so
+    it answers and closes.
     """
-    text = (raw or "0").strip()
-    if not (text.isascii() and text.isdigit()):
+    if raw is None:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
         raise ApiError(400, "bad_request",
                        f"Content-Length must be a non-negative integer, "
                        f"got {raw!r}")
-    return int(text)
+    return int(raw)
 
 
 def parse_body(body: Optional[bytes]) -> Dict[str, Any]:
@@ -165,7 +161,9 @@ def parse_body(body: Optional[bytes]) -> Dict[str, Any]:
         return {}
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past
+        # int()'s digit limit; RecursionError, nesting too deep to parse
         raise ApiError(400, "bad_request",
                        f"request body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -176,121 +174,25 @@ def parse_body(body: Optional[bytes]) -> Dict[str, Any]:
 
 def execute(service: RankingService, op: str, query: Dict[str, str],
             body: Optional[bytes] = None) -> Dict[str, Any]:
-    """Run one canonical op against a :class:`RankingService`.
+    """Run ``models`` or ``ingest`` against the parent-side service.
 
-    Shared by the threaded server below; the cluster front-end executes
-    ranking ops in its worker processes instead but delegates ``models``
-    and ``ingest`` here via its parent-side service.
+    The cluster front-end answers every other op itself or in its
+    workers.  A malformed ``?day=`` is ``400`` here too, although
+    neither op reads it.
     """
-    version = query.get("version")
-    day = query_int(query, "day")
-    if op == "health":
-        return {"status": "ok",
-                "loaded": service.registry.loaded_versions()}
+    query_int(query, "day")
     if op == "models":
         registry = service.registry
         return {"directory": str(registry.directory),
                 "loaded": registry.loaded_versions(),
                 "models": [registry.describe(v)
                            for v in registry.discover()]}
-    if op == "scores":
-        return service.predict_scores(version=version, day=day)
-    if op == "top_k":
-        k = query_int(query, "k")
-        return service.top_k(k=10 if k is None else k,
-                             version=version, day=day)
-    if op == "rank":
-        return service.rank_universe(version=version, day=day)
-    if op == "delta":
-        return service.rank_delta(version=version, day=day)
-    if op == "stats":
-        return service.stats()
-    if op == "reload":
-        return service.reload(version=version)
     if op == "ingest":
-        return service.ingest(parse_body(body), version=version)
+        return service.ingest(parse_body(body),
+                              version=query.get("version"))
     raise ApiError(404, "not_found", f"no route for op {op!r}")
 
 
 def json_body(payload: Dict[str, Any]) -> bytes:
     """A response body on the wire: sorted-key JSON plus a newline."""
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-
-
-class RankingHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to one :class:`RankingService`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], service: RankingService):
-        super().__init__(address, _RankingHandler)
-        self.service = service
-
-    def shutdown(self) -> None:          # also drain the batcher
-        super().shutdown()
-        self.service.close()
-
-
-class _RankingHandler(BaseHTTPRequestHandler):
-    server: RankingHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    # quiet by default; serving telemetry supersedes stderr access logs
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def __getattr__(self, name: str) -> Any:
-        # http.server answers a method without a ``do_<METHOD>`` with
-        # its own 501 HTML page; here every method but GET/POST is 405.
-        if name.startswith("do_"):
-            return self._method_not_allowed
-        raise AttributeError(name)
-
-    def _method_not_allowed(self) -> None:
-        status, extra_headers, payload = method_not_allowed(self.command)
-        # Any request body was not read: answer, then close.
-        self._send(status, {**extra_headers, "Connection": "close"},
-                   payload)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._respond()
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        try:
-            length = content_length(self.headers.get("Content-Length"))
-        except ApiError as exc:
-            status, extra_headers, payload = exception_response(exc)
-            # The body was not read, so the connection cannot be reused.
-            self._send(status, {**extra_headers, "Connection": "close"},
-                       payload)
-            return
-        # Reading the full body also keeps keep-alive framing intact.
-        body = self.rfile.read(length) if length else b""
-        self._respond(body)
-
-    def _respond(self, body: Optional[bytes] = None) -> None:
-        parsed = urlparse(self.path)
-        query = parse_query(parsed.query)
-        op = resolve_route(parsed.path)
-        extra_headers: Dict[str, str] = {}
-        try:
-            if op is None:
-                raise ApiError(404, "not_found",
-                               f"no route for {parsed.path!r}")
-            status, payload = 200, execute(self.server.service, op, query,
-                                           body=body)
-        except Exception as exc:  # noqa: BLE001 — JSON instead of stack dump
-            status, extra_headers, payload = exception_response(exc)
-        self._send(status, extra_headers, payload)
-
-    def _send(self, status: int, extra_headers: Dict[str, str],
-              payload: Dict[str, Any]) -> None:
-        body = json_body(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-

@@ -17,8 +17,9 @@ into servable models:
 - loaded models are cached under an LRU policy with an optional byte
   budget (:meth:`warm` pre-faults versions, :meth:`evict` drops them).
 
-Everything is thread-safe: HTTP handler threads resolve versions while a
-batcher worker faults in a model.
+Everything is thread-safe: the front-end's executor threads (``models``,
+``ingest``, hot-swap checks) resolve versions and fault in models
+concurrently.
 """
 
 from __future__ import annotations
@@ -342,13 +343,6 @@ class ModelRegistry:
             self.loads += 1
             self._enforce_budget(keep=version)
             return servable
-
-    def warm(self, versions: Optional[List[str]] = None) -> List[str]:
-        """Pre-fault versions into memory; returns what is now loaded."""
-        for version in (versions if versions is not None
-                        else [self.default_version()]):
-            self.load(version)
-        return self.loaded_versions()
 
     def evict(self, version: Optional[str] = None) -> bool:
         """Drop one loaded version (default: least recently used)."""

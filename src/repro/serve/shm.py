@@ -74,8 +74,7 @@ def _require_shm():
     if _shm is None:
         raise ShmUnavailableError(
             "multiprocessing.shared_memory is unavailable on this "
-            "platform; run the serving tier in threaded mode "
-            "(ServeConfig(mode='threaded'))")
+            "platform; the serving cluster needs it")
     return _shm
 
 

@@ -1,7 +1,7 @@
 """Online ingest: delta-update the live graph, re-rank within a budget.
 
-The batch serving path answers "what is today's ranking" against a
-frozen dataset.  Streaming markets (:mod:`repro.data.stream`) change the
+The ranking reads answer "what is today's ranking" against a frozen
+dataset.  Streaming markets (:mod:`repro.data.stream`) change the
 relation graph *between* requests, so the serving tier needs an ingest
 path: ``POST /v1/ingest`` hands it one day's event batch, and the
 :class:`StreamIngestor`

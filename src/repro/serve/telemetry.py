@@ -1,17 +1,16 @@
-"""Serving telemetry: latency percentiles, queue depth, batch histograms.
+"""Serving telemetry: latency percentiles, queue depth, SLO windows.
 
-Every request that flows through :class:`~repro.serve.service.RankingService`
-and every coalesced forward executed by the
-:class:`~repro.serve.batcher.MicroBatcher` reports here.  A snapshot rolls
-the raw samples up into the numbers a latency dashboard wants — p50/p95/p99
-end-to-end latency, queue-depth distribution, a batch-size histogram that
-shows micro-batching actually coalescing, and the adjacency-cache hit rate —
-and :meth:`ServingTelemetry.report` publishes them through the schema-v1
-JSON sink of :mod:`repro.obs` so serving runs leave the same
-machine-diffable artifacts as training and benchmark runs.
+The cluster front-end reports every admitted, shed or failed request
+here, and the ingest path every tick.  A snapshot rolls the raw samples
+up into the numbers a latency dashboard wants — p50/p95/p99 end-to-end
+latency overall and per endpoint, the queue-depth distribution, and the
+adjacency-cache hit rate — and :meth:`ServingTelemetry.report`
+publishes them through the schema-v1 JSON sink of :mod:`repro.obs` so
+serving runs leave the same machine-diffable artifacts as training and
+benchmark runs.
 
-All recorders are thread-safe: they are called concurrently from client
-threads (request completions) and batcher workers (forward passes).
+All recorders are thread-safe: the event loop and the executor threads
+that run ingest ticks call them concurrently.
 """
 
 from __future__ import annotations
@@ -32,17 +31,6 @@ from ..store.schema import latency_histogram
 DEFAULT_MAX_SAMPLES = 16384
 
 _PERCENTILES = (50.0, 95.0, 99.0)
-
-#: raw recorder op names → the canonical per-endpoint labels the store's
-#: ``slo.op`` column uses (matching the ``/v1/`` path segments)
-OP_ALIASES = {"predict_scores": "scores", "rank_universe": "rank",
-              "rank_delta": "delta"}
-
-
-def canonical_op(op: str) -> str:
-    """Map a recorder op name to its canonical endpoint label."""
-    return OP_ALIASES.get(op, op)
-
 
 def _percentile_summary(samples) -> Dict[str, float]:
     """``{count, mean, p50, p95, p99, max}`` of a sample window."""
@@ -77,9 +65,8 @@ class ServingTelemetry:
         self._max_samples = max_samples
         self._latencies = deque(maxlen=max_samples)
         self._queue_depths = deque(maxlen=max_samples)
-        self._batch_sizes: Counter = Counter()
         self._ops: Counter = Counter()
-        # per-endpoint windows/counters, keyed by canonical op label
+        # per-endpoint windows/counters, keyed by the /v1/ op name
         self._op_latencies: Dict[str, deque] = {}
         self._op_requests: Counter = Counter()
         self._op_fallbacks: Counter = Counter()
@@ -93,9 +80,6 @@ class ServingTelemetry:
         self.fallbacks = 0
         self.errors = 0
         self.shed = 0
-        self.batches = 0
-        self.coalesced_requests = 0
-        self.forward_seconds = 0.0
 
     # ------------------------------------------------------------------
     # recorders
@@ -104,44 +88,35 @@ class ServingTelemetry:
                        queue_depth: Optional[int] = None,
                        fallback: bool = False) -> None:
         """One client-visible request completed (op = scores/top_k/...)."""
-        name = canonical_op(op)
         with self._lock:
             self.requests += 1
             self._ops[op] += 1
             self._latencies.append(float(latency_s))
-            window = self._op_latencies.get(name)
+            window = self._op_latencies.get(op)
             if window is None:
-                window = self._op_latencies[name] = deque(
+                window = self._op_latencies[op] = deque(
                     maxlen=self._max_samples)
             window.append(float(latency_s))
-            self._op_requests[name] += 1
+            self._op_requests[op] += 1
             if queue_depth is not None:
                 self._queue_depths.append(int(queue_depth))
             if fallback:
                 self.fallbacks += 1
-                self._op_fallbacks[name] += 1
+                self._op_fallbacks[op] += 1
 
     def record_error(self, op: str) -> None:
         """A request failed with an exception (after retries/fallbacks)."""
         with self._lock:
             self.errors += 1
             self._ops[op] += 1
-            self._op_errors[canonical_op(op)] += 1
+            self._op_errors[op] += 1
 
     def record_shed(self, op: str) -> None:
         """Admission control rejected a request (429/503, never computed)."""
         with self._lock:
             self.shed += 1
             self._ops[op] += 1
-            self._op_shed[canonical_op(op)] += 1
-
-    def record_batch(self, coalesced: int, forward_seconds: float) -> None:
-        """One batched forward served ``coalesced`` requests at once."""
-        with self._lock:
-            self.batches += 1
-            self.coalesced_requests += int(coalesced)
-            self._batch_sizes[int(coalesced)] += 1
-            self.forward_seconds += float(forward_seconds)
+            self._op_shed[op] += 1
 
     # ------------------------------------------------------------------
     # rollups
@@ -170,7 +145,7 @@ class ServingTelemetry:
         return snap
 
     def op_snapshots(self) -> Dict[str, Dict[str, Any]]:
-        """Per-endpoint rollups, keyed by canonical op label.
+        """Per-endpoint rollups, keyed by ``/v1/`` op name.
 
         Each value has the ``latency_seconds``/``slo``/counter shape of
         :meth:`snapshot`, so it can feed
@@ -190,10 +165,6 @@ class ServingTelemetry:
         with self._lock:
             latency = _percentile_summary(self._latencies)
             queue_depth = _percentile_summary(self._queue_depths)
-            batch_histogram = {str(size): count for size, count
-                               in sorted(self._batch_sizes.items())}
-            mean_batch = (self.coalesced_requests / self.batches
-                          if self.batches else 0.0)
             # Uptime off the monotonic clock: a wall-clock NTP step would
             # corrupt requests_per_second (negative or wildly inflated).
             elapsed = max(time.monotonic() - self._started_mono, 1e-9)
@@ -209,10 +180,6 @@ class ServingTelemetry:
                 "latency_seconds": latency,
                 "latency_hist_ms": latency_histogram(self._latencies),
                 "queue_depth": queue_depth,
-                "batches": self.batches,
-                "mean_batch_size": mean_batch,
-                "batch_size_histogram": batch_histogram,
-                "forward_seconds": self.forward_seconds,
                 "per_op": {
                     name: self._op_snapshot_locked(name)
                     for name in sorted(set(self._op_latencies)
@@ -243,7 +210,7 @@ class ServingTelemetry:
 
         Scalar headline numbers go in ``metrics`` (the schema's flat
         result map); the full structured snapshot — percentile blocks,
-        the batch-size histogram — rides under ``config["serving"]`` so
+        the per-endpoint windows — rides under ``config["serving"]`` so
         both mechanical diffing and ad-hoc inspection work.
         """
         snap = self.snapshot()
@@ -256,7 +223,6 @@ class ServingTelemetry:
             "latency_p50_seconds": snap["latency_seconds"]["p50"],
             "latency_p95_seconds": snap["latency_seconds"]["p95"],
             "latency_p99_seconds": snap["latency_seconds"]["p99"],
-            "mean_batch_size": snap["mean_batch_size"],
             "adjacency_cache_hit_rate":
                 snap["adjacency_cache"]["hit_rate"],
         }

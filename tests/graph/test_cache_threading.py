@@ -1,7 +1,7 @@
 """Thread-safety of the normalized-adjacency cache.
 
-The serving path reads this cache from HTTP handler threads and batcher
-workers while training code may invalidate it; the stress tests here pin
+The serving front-end reads this cache from its executor threads (ingest
+and hot swap) while training code may invalidate it; the stress tests pin
 down that concurrent readers and an invalidating writer never corrupt the
 cache, lose counter updates, or serve another key's value.
 """

@@ -196,6 +196,48 @@ class TestClusterAdmission:
         assert headers["Retry-After"] == "0.25"
         assert body["error"]["retry_after"] == 0.25
 
+    def test_identical_reads_share_one_queue_entry(self, serving_ckpt_dir):
+        handle = build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
+                                   port=0, mode="cluster", cluster_workers=1,
+                                   max_queue=2, default_timeout=30.0,
+                                   watch_interval_s=30.0))
+        handle.start()
+        pid = handle.cluster._handles[0].process.pid
+        inflight = handle.cluster._inflight
+        n = 6
+        replies, readers = [], []
+        try:
+            assert _get(handle, "/v1/top_k?k=1")[0] == 200
+            os.kill(pid, signal.SIGSTOP)
+            # k=3 is held by the stopped worker; the k=2 reads then wait
+            readers.append(threading.Thread(target=lambda: replies.append(
+                _get(handle, "/v1/top_k?k=3"))))
+            readers[0].start()
+            deadline = time.monotonic() + 10
+            while (("top_k", (("k", "3"),)) not in inflight
+                   or _get(handle, "/v1/stats")[2]["cluster"]["queue_depth"]):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for _ in range(n):
+                readers.append(threading.Thread(target=lambda: replies.append(
+                    _get(handle, "/v1/top_k?k=2"))))
+                readers[-1].start()
+            key = ("top_k", (("k", "2"),))
+            while len(inflight.get(key, ())) < n:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            stats = _get(handle, "/v1/stats")[2]["cluster"]
+            assert stats["queue_depth"] == 1
+        finally:
+            os.kill(pid, signal.SIGCONT)
+            for reader in readers:
+                reader.join(timeout=30)
+            handle.close()
+        assert [status for status, _, _ in replies] == [200] * (n + 1)
+        bodies = [body for _, _, body in replies if body["k"] == 2]
+        assert len(bodies) == n
+        assert all(body == bodies[0] for body in bodies)
+
     def test_late_reply_is_not_served_to_the_next_read(self, stopped):
         handle, pid = stopped
         status, _, body = _get_error(handle, "/v1/top_k?k=2")

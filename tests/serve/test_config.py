@@ -1,19 +1,39 @@
-"""ServeConfig validation + the blessed build() factory (threaded mode)."""
+"""ServeConfig validation + the blessed build() factory."""
 
+import dataclasses
 import json
+import multiprocessing
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import SERVE_MODES, ServeConfig, ServeHandle, build
+from repro.serve.shm import shm_available
+
+needs_cluster = pytest.mark.skipif(
+    not (shm_available()
+         and "fork" in multiprocessing.get_all_start_methods()),
+    reason="serving needs fork + shared_memory")
 
 
 class TestServeConfigValidation:
-    def test_defaults_are_threaded(self, tmp_path):
+    def test_defaults_are_cluster(self, tmp_path):
         config = ServeConfig(checkpoint_dir=str(tmp_path))
-        assert config.mode == "threaded"
-        assert config.mode in SERVE_MODES
+        assert config.mode == "cluster"
+        assert SERVE_MODES == ("cluster",)
+
+    def test_threaded_mode_was_removed(self, tmp_path):
+        with pytest.raises(ValueError, match="threaded topology was "
+                                             "removed"):
+            ServeConfig(checkpoint_dir=str(tmp_path), mode="threaded")
+
+    def test_eighteen_fields(self):
+        # no micro-batching knobs: max_batch, max_wait_ms,
+        # straggler_poll_ms, idle_poll_ms and batch_workers are gone
+        names = [f.name for f in dataclasses.fields(ServeConfig)]
+        assert len(names) == 18, names
+        assert "max_batch" not in names and "batch_workers" not in names
 
     def test_empty_checkpoint_dir_rejected(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
@@ -53,15 +73,16 @@ class TestServeConfigValidation:
                                    "turbo": True})
 
 
-class TestBuildThreaded:
-    def test_build_returns_handle_with_server(self, serving_ckpt_dir):
+@needs_cluster
+class TestBuildCluster:
+    def test_build_returns_handle_with_cluster(self, serving_ckpt_dir):
+        from repro.serve import ServingCluster
         handle = build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
                                    port=0))
         try:
             assert isinstance(handle, ServeHandle)
-            assert handle.server is not None
-            assert handle.cluster is None
-            assert handle.config.mode == "threaded"
+            assert isinstance(handle.cluster, ServingCluster)
+            assert handle.config.mode == "cluster"
         finally:
             handle.close()
 
@@ -71,11 +92,11 @@ class TestBuildThreaded:
         handle.close()
         handle.close()
 
-    def test_slo_threaded_round_trip_over_http(self, serving_ckpt_dir,
-                                               tmp_path):
+    def test_slo_cluster_round_trip_over_http(self, serving_ckpt_dir,
+                                              tmp_path):
         db = tmp_path / "exp.sqlite"
         with build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
-                               port=0, slo_p99_ms=500.0,
+                               port=0, slo_p99_ms=500.0, cluster_workers=1,
                                store=str(db))) as handle:
             handle.start()
             host, port = handle.address
@@ -104,10 +125,9 @@ class TestBuildThreaded:
         with ExperimentStore(db) as store:
             rows = store.execute(
                 "SELECT source, op, target_p99_ms FROM slo")
-            assert all(r["source"] == "serve-threaded" for r in rows)
+            assert all(r["source"] == "serve-cluster" for r in rows)
             assert all(r["target_p99_ms"] == 500.0 for r in rows)
             aggregate = [r for r in rows if r["op"] is None]
             assert len(aggregate) == 1
             per_op = {r["op"] for r in rows if r["op"] is not None}
-            assert "scores" in per_op        # canonical endpoint labels
-            assert "predict_scores" not in per_op
+            assert "scores" in per_op        # /v1/ op names

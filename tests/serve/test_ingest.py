@@ -1,7 +1,7 @@
 """POST /v1/ingest: delta updates, tick-budget fallback, per-op SLO rows.
 
-Built on the blessed ``build(ServeConfig(...))`` threaded stack against
-the shared trained checkpoint; the streaming scenario indices are scaled
+Built on the blessed ``build(ServeConfig(...))`` cluster against the
+shared trained checkpoint; the streaming scenario indices are scaled
 to the served universe the same way ``repro.cli stream`` does.
 """
 

@@ -160,7 +160,8 @@ class TestLRUBudget:
 
     def test_warm_and_evict(self, serving_ckpt_dir):
         registry = ModelRegistry(serving_ckpt_dir)
-        assert registry.warm() == ["best"]
+        registry.load("best")
+        assert registry.loaded_versions() == ["best"]
         assert registry.evict("best") is True
         assert registry.evict("best") is False
         assert registry.loaded_versions() == []

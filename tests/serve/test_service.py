@@ -1,134 +1,87 @@
-"""RankingService: ranking ops, coalescing, timeout fallback, telemetry."""
+"""Ranking response bodies over the engine memo, and RankingService."""
 
-import threading
-
-import numpy as np
 import pytest
 
-from repro.serve import ServiceTimeoutError
-from repro.serve.registry import ModelRegistry
-from repro.serve.service import RankingService
+from repro.serve.service import RankingService, ranking_response
 
 
 @pytest.fixture()
 def service(serving_ckpt_dir):
-    with RankingService(serving_ckpt_dir, max_batch=16,
-                        max_wait_ms=2.0) as svc:
+    with RankingService(serving_ckpt_dir) as svc:
         yield svc
+
+
+def respond(service, op, day=None, k=None):
+    engine = service.engine()
+    return ranking_response(op, engine, engine.resolve_day(day), k=k)
 
 
 class TestRankingOps:
     def test_predict_scores_covers_universe(self, service):
-        out = service.predict_scores()
+        out = respond(service, "scores")
         symbols = service.engine().dataset.universe.symbols
         assert set(out["scores"]) == set(symbols)
         assert out["model"] == "RT-GCN (T)"
         assert out["stale"] is False
 
     def test_top_k_sorted_best_first(self, service):
-        out = service.top_k(k=5)
+        out = respond(service, "top_k", k=5)
         scores = [row["score"] for row in out["top_k"]]
         assert scores == sorted(scores, reverse=True)
         assert [row["rank"] for row in out["top_k"]] == [1, 2, 3, 4, 5]
 
     def test_top_k_clamped_to_universe(self, service):
-        out = service.top_k(k=10_000)
+        out = respond(service, "top_k", k=10_000)
         assert out["k"] == service.engine().dataset.num_stocks
 
     def test_top_k_rejects_nonpositive(self, service):
         with pytest.raises(ValueError, match="k must be"):
-            service.top_k(k=0)
+            respond(service, "top_k", k=0)
 
     def test_rank_universe_is_permutation(self, service):
-        out = service.rank_universe()
+        out = respond(service, "rank")
         n = service.engine().dataset.num_stocks
         assert sorted(row["rank"] for row in out["ranking"]) == \
             list(range(1, n + 1))
 
     def test_rank_delta_consistent(self, service):
-        out = service.rank_delta(day=100)
+        out = respond(service, "delta", day=100)
         assert out["day"] == 100 and out["prior_day"] == 99
         for row in out["deltas"]:
             assert row["delta"] == row["prior_rank"] - row["rank"]
 
     def test_rank_delta_needs_prior_day(self, service):
         window = service.engine().servable.window
+        forwards = service.engine().forwards
         with pytest.raises(ValueError, match="prior"):
-            service.rank_delta(day=window - 1)
+            respond(service, "delta", day=window - 1)
+        assert service.engine().forwards == forwards   # refused first
 
     def test_matches_direct_engine_scores(self, service):
-        # The batched path returns exactly what a direct forward does.
-        out = service.predict_scores(day=150)
+        # The memoised body holds exactly what a fresh forward computes.
+        out = respond(service, "scores", day=150)
         direct = service.engine().scores(150)
         symbols = service.engine().dataset.universe.symbols
         assert out["scores"] == {s: float(v)
                                  for s, v in zip(symbols, direct)}
 
 
-class TestCoalescingUnderLoad:
-    def test_concurrent_identical_requests_coalesce(self, service):
-        results = []
-        barrier = threading.Barrier(8)
-
-        def client():
-            barrier.wait(timeout=10.0)
-            results.append(service.top_k(k=3, day=200))
-
-        threads = [threading.Thread(target=client) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-        assert len(results) == 8
-        first = results[0]["top_k"]
-        assert all(r["top_k"] == first for r in results)
-        snap = service.telemetry.snapshot()
-        assert snap["requests"] == 8
-        assert snap["batches"] < 8           # some requests shared a pass
-
-
-class TestTimeoutFallback:
-    def test_timeout_without_history_raises(self, serving_ckpt_dir):
-        service = RankingService(serving_ckpt_dir, max_wait_ms=0.0)
-        # Stall the compute path so the deadline always fires.
-        service._batcher._compute = lambda key: threading.Event().wait(60)
-        try:
-            with pytest.raises(ServiceTimeoutError, match="nothing"):
-                service.predict_scores(timeout=0.05)
-        finally:
-            service._batcher._compute = lambda key: np.zeros(1)
-            service.close()
-
-    def test_timeout_falls_back_to_last_served(self, serving_ckpt_dir):
-        service = RankingService(serving_ckpt_dir, max_wait_ms=0.0)
-        try:
-            fresh = service.predict_scores(day=120)     # seeds history
-            real_compute = service._batcher._compute
-            service._batcher._compute = \
-                lambda key: threading.Event().wait(60)
-            stale = service.predict_scores(day=120, timeout=0.05)
-            assert stale["stale"] is True
-            assert stale["scores"] == fresh["scores"]
-            snap = service.telemetry.snapshot()
-            assert snap["fallbacks"] == 1
-            service._batcher._compute = real_compute
-        finally:
-            service.close()
-
+class TestLifecycle:
     def test_closed_service_rejects_requests(self, serving_ckpt_dir):
         service = RankingService(serving_ckpt_dir)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
-            service.top_k()
+            service.ingest({})
 
 
 class TestStats:
     def test_stats_combines_all_layers(self, service):
-        service.top_k(k=3)
+        service.ingest({"deltas": [[0, 1, 0.5]]})
         stats = service.stats()
-        assert stats["requests"] >= 1
+        assert stats["requests"] == 1
+        assert stats["per_op"]["ingest"]["requests"] == 1
         assert stats["registry"]["loaded"] == ["best"]
-        assert stats["engines"][0]["version"] == "best"
-        assert "depth" in stats["queue"]
+        (state,) = stats["stream"]["versions"].values()
+        assert state["ticks"] == 1 and state["applied_edits"] == 1
         assert stats["latency_seconds"]["p95"] >= \
             stats["latency_seconds"]["p50"] >= 0

@@ -1,6 +1,6 @@
 """`repro.cli stream`: scenario replay against a live server + dedup.
 
-Runs the real CLI entry point against an in-process threaded server, so
+Runs the real CLI entry point against a cluster started in-process, so
 the whole loop — scenario adaptation to the served universe, per-day
 POSTs, store recording, fingerprint dedup — is exercised end to end.
 """

@@ -18,16 +18,6 @@ class TestRecording:
             <= latency["max"]
         assert abs(latency["p50"] - 0.0505) < 0.002
 
-    def test_batch_histogram_and_mean(self):
-        telemetry = ServingTelemetry()
-        telemetry.record_batch(1, 0.01)
-        telemetry.record_batch(4, 0.02)
-        telemetry.record_batch(4, 0.02)
-        snap = telemetry.snapshot()
-        assert snap["batch_size_histogram"] == {"1": 1, "4": 2}
-        assert snap["mean_batch_size"] == 3.0
-        assert abs(snap["forward_seconds"] - 0.05) < 1e-9
-
     def test_errors_and_fallbacks_counted(self):
         telemetry = ServingTelemetry()
         telemetry.record_request("scores", 0.01, fallback=True)
@@ -63,7 +53,6 @@ class TestSchemaV1Report:
     def test_report_validates_and_serializes(self):
         telemetry = ServingTelemetry()
         telemetry.record_request("top_k", 0.005, queue_depth=2)
-        telemetry.record_batch(3, 0.004)
         report = telemetry.report(config={"market": "csi-mini"})
         payload = report.to_dict()
         validate_report(payload)               # schema-v1 contract
@@ -72,7 +61,8 @@ class TestSchemaV1Report:
         assert payload["metrics"]["latency_p50_seconds"] == 0.005
         assert payload["config"]["market"] == "csi-mini"
         serving = payload["config"]["serving"]
-        assert serving["batch_size_histogram"] == {"3": 1}
+        assert serving["per_op"]["top_k"]["requests"] == 1
+        assert serving["queue_depth"]["max"] == 2
         json.dumps(payload)                    # JSON-serializable end-to-end
 
     def test_run_id_generated_with_serve_prefix(self):

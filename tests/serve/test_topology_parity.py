@@ -1,7 +1,7 @@
-"""The threaded server and the cluster answer with the same JSON.
+"""A 1-worker and a 2-worker cluster answer with the same JSON.
 
-Both build ranking bodies and error envelopes with the same code; only
-the cluster's ``generation``/``worker`` fields tell them apart.
+The worker count changes only which process computes a body; the
+``generation``/``worker`` fields are the only difference on the wire.
 """
 
 import json
@@ -24,12 +24,10 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def handles(serving_ckpt_dir):
-    # The cluster forks its workers before the threaded server starts
-    # any threads.
     handles = [build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
-                                 port=0, **extra)).start()
-               for extra in ({"mode": "cluster", "cluster_workers": 1,
-                              "watch_interval_s": 30.0}, {})]
+                                 port=0, cluster_workers=workers,
+                                 watch_interval_s=30.0)).start()
+               for workers in (1, 2)]
     yield handles
     for handle in handles:
         handle.close()
@@ -53,17 +51,21 @@ def _fetch(handle, path):
     ("/v1/delta?day=5", 400),              # first servable day (window 6)
 ])
 def test_bodies_match_across_topologies(handles, path, status):
-    (c_status, c_body), (t_status, t_body) = (_fetch(h, path)
-                                              for h in handles)
-    assert c_status == t_status == status
+    (one_status, one_body), (two_status, two_body) = (_fetch(h, path)
+                                                      for h in handles)
+    assert one_status == two_status == status
     if status == 200:
-        assert (c_body.pop("generation"), c_body.pop("worker")) == (0, 0)
-    assert c_body == t_body
+        assert (one_body.pop("generation"), one_body.pop("worker")) \
+            == (0, 0)
+        assert two_body.pop("generation") == 0
+        assert two_body.pop("worker") in (0, 1)
+    assert one_body == two_body
 
 
-#: both topologies, in the order the ``handles`` fixture starts them
+#: both clusters, in the order the ``handles`` fixture starts them; the
+#: 1-worker one keeps the id these cases have always run under
 TOPOLOGIES = pytest.mark.parametrize("topology", [0, 1],
-                                     ids=["cluster", "threaded"])
+                                     ids=["cluster", "two-workers"])
 
 
 def _post(handle, path, body: bytes):

@@ -29,11 +29,11 @@ class TestRecordSloOp:
     def test_op_column_round_trips(self, tmp_path):
         with ExperimentStore(tmp_path / "exp.sqlite") as store:
             store.record_slo(snapshot(10, 0.02, target_ms=50.0),
-                             source="serve-threaded")
+                             source="serve-cluster")
             store.record_slo(snapshot(6, 0.01, target_ms=50.0),
-                             source="serve-threaded", op="scores")
+                             source="serve-cluster", op="scores")
             store.record_slo(snapshot(4, 0.03, target_ms=50.0),
-                             source="serve-threaded", op="ingest")
+                             source="serve-cluster", op="ingest")
             rows = store.execute(
                 "SELECT op, requests FROM slo ORDER BY op")
             assert [(r["op"], r["requests"]) for r in rows] == [
@@ -54,15 +54,15 @@ class TestStoreReportSloSection:
         with ExperimentStore(tmp_path / "exp.sqlite") as store:
             for _ in range(2):
                 store.record_slo(snapshot(5, 0.02, target_ms=100.0),
-                                 source="serve-threaded", op="ingest")
+                                 source="serve-cluster", op="ingest")
             store.record_slo(snapshot(9, 0.01, target_ms=100.0),
-                             source="serve-threaded", op="scores")
+                             source="serve-cluster", op="scores")
             store.record_slo(snapshot(7, 0.5), source="stream-client",
                              op="ingest")
             payload = store_report(store)
         slo = payload["slo"]
         assert [(r["source"], r["op"]) for r in slo] == [
-            ("serve-threaded", "ingest"), ("serve-threaded", "scores"),
+            ("serve-cluster", "ingest"), ("serve-cluster", "scores"),
             ("stream-client", "ingest")]
         ingest = slo[0]
         assert ingest["windows"] == 2
@@ -89,12 +89,12 @@ class TestDbReportCLI:
         db = tmp_path / "exp.sqlite"
         with ExperimentStore(db) as store:
             store.record_slo(snapshot(12, 0.02, target_ms=200.0),
-                             source="serve-threaded", op="ingest")
+                             source="serve-cluster", op="ingest")
         assert main(["db", "--db", str(db), "report"]) == 0
         out = capsys.readouterr().out
         assert "slo (per source" in out
         assert "ingest" in out
-        assert "serve-threaded" in out
+        assert "serve-cluster" in out
 
     def test_report_json_includes_slo(self, tmp_path, capsys):
         db = tmp_path / "exp.sqlite"

@@ -70,11 +70,18 @@ class TestServeLegacyRemoval:
     def test_legacy_names_are_not_exported(self):
         import repro.serve as serve
         for name in ("ModelRegistry", "InferenceEngine", "MicroBatcher",
-                     "RankingService", "RankingHTTPServer", "serve_forever"):
+                     "RankingService", "RankingHTTPServer", "serve_forever",
+                     "BatcherClosedError"):
             assert name not in serve.__all__, \
                 f"internal name {name!r} back in repro.serve.__all__"
             assert not hasattr(serve, name), \
                 f"internal name {name!r} importable from repro.serve"
+
+    def test_threaded_topology_is_gone(self):
+        import repro.serve.httpd as httpd
+        assert not hasattr(httpd, "RankingHTTPServer")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.serve.batcher")
 
     def test_blessed_build_path_never_raises(self, tmp_path):
         from repro.serve import ServeConfig, build
@@ -116,8 +123,8 @@ class TestServeConfigCliRoundTrip:
             "--checkpoint-dir", str(tmp_path),
             "--mode", "cluster", "--cluster-workers", "3",
             "--max-queue", "64", "--slo-p99-ms", "50",
-            "--timeout", "2.5", "--workers", "2",
-            "--straggler-poll-ms", "0.5", "--watch-interval-s", "1.0",
+            "--timeout", "2.5", "--crash-retries", "2",
+            "--tick-budget-ms", "100", "--watch-interval-s", "1.0",
             "--store", "exp.sqlite", "--port", "0",
         ])
         assert config.mode == "cluster"
@@ -125,18 +132,26 @@ class TestServeConfigCliRoundTrip:
         assert config.max_queue == 64
         assert config.slo_p99_ms == 50.0
         assert config.default_timeout == 2.5
-        assert config.batch_workers == 2
-        assert config.straggler_poll_ms == 0.5
+        assert config.crash_retries == 2
+        assert config.tick_budget_ms == 100.0
         assert config.watch_interval_s == 1.0
         assert config.store == "exp.sqlite"
         from repro.serve import ServeConfig
         assert ServeConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("flag", [
+        "--max-batch", "--max-wait-ms", "--straggler-poll-ms",
+        "--idle-poll-ms", "--workers", "--batch-workers", "--version"])
+    def test_micro_batching_flags_are_gone(self, flag, tmp_path, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--checkpoint-dir", str(tmp_path), flag, "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_legacy_flag_spellings_still_parse(self, tmp_path):
         config = self._parse(["--checkpoint-dir", str(tmp_path),
                               "--serve-mode", "cluster",
-                              "--batch-workers", "4",
                               "--default-timeout", "7.0"])
         assert config.mode == "cluster"
-        assert config.batch_workers == 4
         assert config.default_timeout == 7.0

@@ -221,19 +221,12 @@ class TestServeQueryCLI:
 
     def test_query_round_trip(self, ckpt_dir, capsys):
         import json
-        import threading
 
-        from repro.serve.httpd import RankingHTTPServer
-        from repro.serve.registry import ModelRegistry
-        from repro.serve.service import RankingService
+        from repro.serve import ServeConfig, build
 
-        service = RankingService(ModelRegistry(ckpt_dir))
-        server = RankingHTTPServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            port = str(server.server_address[1])
+        with build(ServeConfig(checkpoint_dir=str(ckpt_dir), port=0,
+                               cluster_workers=1)) as handle:
+            port = str(handle.start().address[1])
             assert main(["query", "--top-k", "10",
                          "--port", port]) == 0
             payload = json.loads(capsys.readouterr().out)
@@ -243,10 +236,56 @@ class TestServeQueryCLI:
                          "--port", port]) == 0
             assert json.loads(
                 capsys.readouterr().out)["status"] == "ok"
+
+    def test_sigterm_shuts_down_cleanly(self, ckpt_dir, tmp_path):
+        # `kill`, systemd and docker stop a server with SIGTERM; it must
+        # exit 0 and persist its telemetry as SIGINT does.
+        import os
+        import queue
+        import re
+        import signal
+        import subprocess
+        import sys
+        import threading
+
+        from repro.serve import shm_available
+        from repro.store import ExperimentStore
+
+        if not shm_available():
+            pytest.skip("serving needs shared_memory")
+        db = tmp_path / "exp.sqlite"
+        # stdout is a pipe and the child is buffered as it would be under
+        # a supervisor: the banner must arrive because serve flushes it.
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--checkpoint-dir", str(ckpt_dir), "--port", "0",
+             "--cluster-workers", "1", "--store", str(db)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        lines: "queue.Queue[str]" = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: lines.put(proc.stdout.readline()), daemon=True)
+        reader.start()
+        try:
+            try:
+                banner = lines.get(timeout=60)
+            except queue.Empty:
+                pytest.fail("no serve banner within 60 s")
+            reader.join()
+            assert re.search(r"on http://[\d.]+:\d+", banner), banner
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10.0)
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0, stderr
+        with ExperimentStore(db) as store:
+            rows = store.execute("SELECT source FROM slo WHERE op IS NULL")
+        assert [r["source"] for r in rows] == ["serve-cluster"]
 
     def test_serve_refuses_empty_directory(self, tmp_path):
         with pytest.raises(SystemExit, match="no checkpoints"):
