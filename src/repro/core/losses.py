@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..tensor import Tensor, ensure_tensor
-from ..tensor.fused import fused_enabled, l2_penalty_fused
+from ..tensor.fused import (fused_enabled, l2_penalty_fused,
+                            rank_loss_fused)
 
 __all__ = ["regression_loss", "ranking_loss", "combined_loss",
            "l2_penalty"]
@@ -75,10 +76,22 @@ def l2_penalty(parameters: Iterable[Tensor]) -> Tensor:
 def combined_loss(predicted: Tensor, actual: Tensor, alpha: float,
                   parameters: Optional[Iterable[Tensor]] = None,
                   weight_decay: float = 0.0) -> Tensor:
-    """Eq. (9): τ = τ_reg + α·τ_rank + λ‖β‖²."""
-    loss = regression_loss(predicted, actual)
-    if alpha:
-        loss = loss + alpha * ranking_loss(predicted, actual)
+    """Eq. (9): τ = τ_reg + α·τ_rank + λ‖β‖².
+
+    ``τ_reg + α·τ_rank`` is one tape node while the fused kernels are
+    enabled (:func:`repro.tensor.fused.rank_loss_fused`) for 1-D scores of
+    two or more stocks against constant labels.
+    """
+    predicted = ensure_tensor(predicted)
+    actual = ensure_tensor(actual)
+    if (fused_enabled() and predicted.ndim == 1
+            and predicted.shape == actual.shape and predicted.shape[0] > 1
+            and not actual.requires_grad):
+        loss = rank_loss_fused(predicted, actual, alpha)
+    else:
+        loss = regression_loss(predicted, actual)
+        if alpha:
+            loss = loss + alpha * ranking_loss(predicted, actual)
     if weight_decay and parameters is not None:
         loss = loss + weight_decay * l2_penalty(parameters)
     return loss

@@ -15,6 +15,8 @@ import numpy as np
 from ..nn import TemporalBlock
 from ..nn.module import Module
 from ..tensor import Tensor, ensure_tensor
+from ..tensor.fused import (conv1d_fusable, fused_enabled,
+                            temporal_block_fused)
 
 
 class TemporalConvolution(Module):
@@ -45,15 +47,43 @@ class TemporalConvolution(Module):
         self.out_channels = out_channels
 
     def forward(self, x: Tensor) -> Tensor:
-        """``(T, N, C_in) -> (H, N, C_out)`` with ``H = ceil(T / stride)``."""
+        """``(T, N, C_in) -> (H, N, C_out)`` with ``H = ceil(T / stride)``.
+
+        While the fused kernels are enabled the whole block, both
+        transposes included, is one tape node
+        (:func:`repro.tensor.fused.temporal_block_fused`).
+        """
         x = ensure_tensor(x)
         if x.ndim != 3:
             raise ValueError(f"expected (T, N, C) input, got {x.shape}")
+        if fused_enabled() and self._fusable(x.shape[1]):
+            return self._fused_forward(x)
         # (T, N, C) -> (N, C, T): stocks become the batch for the 1-D conv.
         as_batch = x.transpose(1, 2, 0)
         out = self.block(as_batch)
         # (N, C_out, H) -> (H, N, C_out)
         return out.transpose(2, 0, 1)
+
+    def _fusable(self, stocks: int) -> bool:
+        block = self.block
+        return all(conv is None or conv1d_fusable(stocks, conv.in_channels,
+                                                  conv.kernel_size)
+                   for conv in (block.conv1, block.conv2, block.downsample))
+
+    def _fused_forward(self, x: Tensor) -> Tensor:
+        block = self.block
+        down = block.downsample
+        # Spatial dropout masks one whole (stock, channel) series; both are
+        # drawn in the composed forward's order.
+        mask_shape = (x.shape[1], block.out_channels, 1)
+        return temporal_block_fused(
+            x, block.conv1._weight(), block.conv1.bias,
+            block.conv2._weight(), block.conv2.bias,
+            block.drop1.draw_mask(mask_shape),
+            block.drop2.draw_mask(mask_shape),
+            None if down is None else down.weight,
+            None if down is None else down.bias,
+            stride=block.stride, dilation=block.conv1.dilation)
 
     def __repr__(self) -> str:
         return (f"TemporalConvolution(in={self.in_channels}, "

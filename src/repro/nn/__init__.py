@@ -18,13 +18,13 @@ from .norm import BatchNorm1d, LayerNorm
 from .random import fork_rng, get_rng, manual_seed
 from .recurrent import GRU, GRUCell, LSTM, LSTMCell
 from .sfm import SFM, SFMCell
-from .temporal import TemporalBlock, TemporalConvNet
+from .temporal import TemporalBlock
 from . import init
 
 __all__ = [
     "Module", "Parameter", "LoadStateResult", "Sequential", "ModuleList",
     "Linear", "Conv1d", "CausalConv1d", "WeightNormConv1d",
-    "CausalWeightNormConv1d", "TemporalBlock", "TemporalConvNet",
+    "CausalWeightNormConv1d", "TemporalBlock",
     "GraphConv", "GraphAttention", "set_graph_mode",
     "LSTM", "LSTMCell", "GRU", "GRUCell", "SFM", "SFMCell",
     "Dropout", "SpatialDropout1d", "LayerNorm", "BatchNorm1d",

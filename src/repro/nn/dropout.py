@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,15 +49,20 @@ class SpatialDropout1d(Module):
         self.p = p
         self._rng = rng if rng is not None else get_rng()
 
+    def draw_mask(self, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """The scaled keep-mask for an input of ``shape``, broadcast over
+        its last axis; ``None`` (identity) in eval mode or at ``p = 0``."""
+        if not self.training or self.p == 0.0:
+            return None
+        if len(shape) < 2:
+            raise ValueError("SpatialDropout1d expects at least 2-D input")
+        mask_shape = tuple(shape[:-1]) + (1,)
+        return (self._rng.uniform(size=mask_shape) >= self.p) / (1.0 - self.p)
+
     def forward(self, x: Tensor) -> Tensor:
         x = ensure_tensor(x)
-        if not self.training or self.p == 0.0:
-            return x
-        if x.ndim < 2:
-            raise ValueError("SpatialDropout1d expects at least 2-D input")
-        mask_shape = x.shape[:-1] + (1,)
-        mask = (self._rng.uniform(size=mask_shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
+        mask = self.draw_mask(x.shape)
+        return x if mask is None else x * Tensor(mask)
 
     def __repr__(self) -> str:
         return f"SpatialDropout1d(p={self.p})"

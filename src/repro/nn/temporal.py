@@ -10,7 +10,7 @@ match.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -64,34 +64,3 @@ class TemporalBlock(Module):
         out = self.drop2(self.conv2(out).relu())
         residual = x if self.downsample is None else self.downsample(x)
         return (out + residual).relu()
-
-
-class TemporalConvNet(Module):
-    """A stack of :class:`TemporalBlock` levels with doubling dilation.
-
-    ``channels`` gives the output width of each level; dilation at level
-    ``l`` is ``2**l`` so the receptive field grows exponentially with depth,
-    following Lea et al. (2016) / WaveNet.
-    """
-
-    def __init__(self, in_channels: int, channels: Sequence[int],
-                 kernel_size: int = 3, stride: int = 1, dropout: float = 0.1,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not channels:
-            raise ValueError("channels must be a non-empty sequence")
-        self.levels = len(channels)
-        prev = in_channels
-        for level, width in enumerate(channels):
-            block = TemporalBlock(prev, width, kernel_size=kernel_size,
-                                  stride=stride if level == 0 else 1,
-                                  dilation=2 ** level, dropout=dropout,
-                                  rng=rng)
-            self.add_module(f"block{level}", block)
-            prev = width
-        self.out_channels = prev
-
-    def forward(self, x: Tensor) -> Tensor:
-        for level in range(self.levels):
-            x = self._modules[f"block{level}"](x)
-        return x

@@ -76,6 +76,9 @@ _SPARSE_PRIMITIVES: Dict[str, str] = {
 #: tape node (two for the LSTM's h/c pair), so its row replaces the chain
 #: of primitive rows the composed path would have produced — a profile of
 #: a fused run attributes the whole cell/propagation to one labeled op.
+#: A fused node that runs another's arithmetic calls its private helpers
+#: (the temporal block shares ``conv1d_fused``'s im2col GEMMs), never the
+#: patched public function, so no forward is counted twice.
 _FUSED_PRIMITIVES: Dict[str, str] = {
     "affine_act_fused": "affine_act_fused",
     "lstm_cell_fused": "lstm_cell_fused",
@@ -85,6 +88,8 @@ _FUSED_PRIMITIVES: Dict[str, str] = {
     "time_adjacency_fused": "time_adjacency_fused",
     "weight_norm_fused": "weight_norm_fused",
     "l2_penalty_fused": "l2_penalty_fused",
+    "temporal_block_fused": "temporal_block_fused",
+    "rank_loss_fused": "rank_loss_fused",
 }
 
 #: arena counters whose install→report deltas the profiler exposes.

@@ -155,6 +155,9 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
+        # flat buffers, keyed by the indices of the parameters one flat
+        # update covers
+        self._flat: Dict[tuple, "_FlatAdam"] = {}
 
     _hyperparameter_names = ("lr", "beta1", "beta2", "eps", "weight_decay")
 
@@ -164,24 +167,99 @@ class Adam(Optimizer):
         return grad
 
     def step(self) -> None:
+        """One update over every parameter with a gradient.
+
+        The parameters are updated as one flat vector per dtype: their
+        gradients are concatenated and ``m``/``v`` live in flat buffers
+        whose per-parameter views are the ``state`` entries, so a step is
+        a dozen whole-vector ufuncs instead of a dozen per parameter.  The
+        per-element expressions and their order are the per-parameter
+        ones, so the values are too.  A parameter without a gradient is
+        skipped and its ``m``/``v`` are left alone.
+        """
         self._step_count += 1
         t = self._step_count
+        groups: Dict[np.dtype, List[int]] = {}
         for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = self._decay(param, param.grad)
+            if param.grad is not None:
+                groups.setdefault(param.data.dtype, []).append(i)
+        for indices in groups.values():
+            self._flat_step(indices, t)
+
+    def _flat_buffers(self, indices: List[int]) -> "_FlatAdam":
+        """The flat buffers of ``indices``; rebuilt when that set changes
+        or ``state[i]`` no longer holds their views (a load, or a reset)."""
+        key = tuple(indices)
+        flat = self._flat.get(key)
+        if flat is not None and all(
+                self.state.get(i, {}).get("m") is m_view
+                and self.state[i].get("v") is v_view
+                for i, m_view, v_view in zip(indices, flat.m_views,
+                                             flat.v_views)):
+            return flat
+        for stale in [k for k in self._flat if not set(k).isdisjoint(key)]:
+            del self._flat[stale]       # their views leave ``state`` below
+        flat = _FlatAdam([self.params[i].data for i in indices])
+        for i, m_view, v_view in zip(indices, flat.m_views, flat.v_views):
             state = self._state_for(i)
-            m = state.get("m")
-            v = state.get("v")
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad * grad
-            state["m"], state["v"] = m, v
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if state.get("m") is not None:
+                m_view[...] = state["m"]
+                v_view[...] = state["v"]
+            state["m"], state["v"] = m_view, v_view
+        self._flat[key] = flat
+        return flat
+
+    def _flat_step(self, indices: List[int], t: int) -> None:
+        params = [self.params[i] for i in indices]
+        flat = self._flat_buffers(indices)
+        grad = np.concatenate([self._decay(p, p.grad).ravel()
+                               for p in params], out=flat.grad)
+        m, v, scratch, update = flat.m, flat.v, flat.scratch, flat.update
+        # m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grad, 1 - self.beta1, out=scratch)
+        np.add(m, scratch, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grad, 1 - self.beta2, out=scratch)
+        np.multiply(scratch, grad, out=scratch)
+        np.add(v, scratch, out=v)
+        # update = lr*m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1 - self.beta1 ** t, out=update)
+        np.multiply(update, self.lr, out=update)
+        np.divide(v, 1 - self.beta2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        np.add(scratch, self.eps, out=scratch)
+        np.divide(update, scratch, out=update)
+        for param, step in zip(params, flat.update_views):
+            param.data -= step
+
+
+class _FlatAdam:
+    """Adam's flat per-dtype buffers for one set of parameters: ``m`` and
+    ``v`` (whose per-parameter views are the optimizer's ``state``), the
+    concatenated gradient, a scratch vector and the update with its
+    per-parameter views."""
+
+    __slots__ = ("m", "v", "grad", "scratch", "update", "m_views",
+                 "v_views", "update_views")
+
+    def __init__(self, arrays: List[np.ndarray]):
+        size = sum(a.size for a in arrays)
+        dtype = arrays[0].dtype
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        self.grad = np.empty(size, dtype=dtype)
+        self.scratch = np.empty(size, dtype=dtype)
+        self.update = np.empty(size, dtype=dtype)
+        self.m_views, self.v_views, self.update_views = [], [], []
+        offset = 0
+        for array in arrays:
+            end = offset + array.size
+            for flat, views in ((self.m, self.m_views),
+                                (self.v, self.v_views),
+                                (self.update, self.update_views)):
+                views.append(flat[offset:end].reshape(array.shape))
+            offset = end
 
 
 class AdamW(Adam):

@@ -34,11 +34,13 @@ buffer is recycled as soon as the closure returns); cross-node stashes
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .ops import _conv1d_geometry, _tap_slices, conv1d
+from .arena import arena_enabled
+from .grad_mode import is_grad_enabled
+from .ops import _conv1d_geometry, conv1d
 from .sparse import SparseTensor, _csr_matmul, _sampled_inner
 from .tensor import (Tensor, _as_array, _sum_data, _unbroadcast,
                      ensure_tensor)
@@ -47,7 +49,8 @@ __all__ = [
     "set_fused_enabled", "fused_enabled", "fused_kernels",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
     "gcn_propagate_fused", "conv1d_fused", "time_adjacency_fused",
-    "weight_norm_fused", "l2_penalty_fused",
+    "weight_norm_fused", "l2_penalty_fused", "conv1d_fusable",
+    "temporal_block_fused", "rank_loss_fused",
 ]
 
 _enabled = True
@@ -354,18 +357,145 @@ def gcn_propagate_fused(x: Tensor, adj, weight: Tensor,
 # ----------------------------------------------------------------------
 # fused temporal convolution (Eq. 6)
 # ----------------------------------------------------------------------
+def conv1d_fusable(batch: int, in_channels: int, kernel_size: int) -> bool:
+    """Whether the im2col GEMM reproduces the composed conv1d bit for bit.
+
+    Not for a singleton batch, nor for a 1×1 conv over one channel: with
+    no summed index NumPy's einsum lowering broadcast-multiplies, and a
+    singleton batch lets it hand BLAS strided views of the gathered
+    windows instead of packed copies.  Either changes the result's bits
+    or layout, so those shapes keep the composed path.
+    """
+    return batch > 1 and in_channels * kernel_size > 1
+
+
+def _tap_runs(out_len: int, length: int, left: int, kernel: int,
+              stride: int, dilation: int) -> List[Tuple[int, int, slice]]:
+    """Per kernel tap, the output positions ``[i0, i1)`` that read the
+    unpadded input (the rest read zero padding) and the input slice
+    they read."""
+    runs = []
+    for j in range(kernel):
+        offset = j * dilation - left          # input index of output 0
+        i0 = min(max(0, -(offset // stride)), out_len)
+        i1 = max(min(out_len, (length - 1 - offset) // stride + 1), i0)
+        t0 = offset + stride * i0
+        runs.append((i0, i1, slice(t0, t0 + stride * (i1 - i0), stride)))
+    return runs
+
+
+def _causal_shifts(runs: List[Tuple[int, int, slice]], out_len: int,
+                   length: int) -> Optional[List[int]]:
+    """Per tap, how far it shifts the input right, when every tap is a
+    pure right shift (stride 1, left padding only: the causal conv);
+    else ``None``."""
+    if out_len != length or any(
+            i1 != out_len or src.start != 0 or src.step != 1
+            for _, i1, src in runs):
+        return None
+    return [i0 for i0, _, _ in runs]
+
+
+def _im2col_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                    stride: int, padding: Union[int, Tuple[int, int]],
+                    dilation: int,
+                    save: bool = True) -> Tuple[np.ndarray, Optional[tuple]]:
+    """One im2col GEMM conv; returns the output and what its VJP reads
+    (``None`` unless ``save``).
+
+    The taps are gathered straight from the input into one ``cols``
+    buffer ``(C·k, B·L)``, zero where a tap reads padding, and the output
+    is ``W(O, C·k) @ cols`` returned as a ``(B, O, L)`` view of the
+    ``(O, B, L)`` product.
+    """
+    left, _, out_len = _conv1d_geometry(x.shape, w.shape, padding, stride,
+                                        dilation)
+    out_ch, in_ch, k = w.shape
+    batch, _, length = x.shape
+    runs = _tap_runs(out_len, length, left, k, stride, dilation)
+    shifts = _causal_shifts(runs, out_len, length)
+    by_channel = x.transpose(1, 0, 2)
+    if by_channel.strides[2] != by_channel.itemsize:
+        # One transposing copy beats k gathers along a strided time axis.
+        by_channel = np.ascontiguousarray(by_channel)
+    cols = np.empty((in_ch, k, batch, out_len), dtype=x.dtype)
+    if shifts is not None:
+        # Each tap is the input shifted right along the flattened (B, L)
+        # axis: one long copy, then zero the heads the shift carried over
+        # from the previous series.
+        flat = by_channel.reshape(in_ch, batch * length)
+        for j, shift in enumerate(shifts):
+            tap = cols[:, j].reshape(in_ch, batch * length)
+            tap[:, shift:] = flat[:, :batch * length - shift]
+            cols[:, j, :, :shift] = 0.0
+    else:
+        for j, (i0, i1, src) in enumerate(runs):
+            cols[:, j, :, :i0] = 0.0
+            cols[:, j, :, i0:i1] = by_channel[:, :, src]
+            cols[:, j, :, i1:] = 0.0
+    cols = cols.reshape(in_ch * k, batch * out_len)
+    out = (w.reshape(out_ch, in_ch * k) @ cols).reshape(
+        out_ch, batch, out_len).transpose(1, 0, 2)
+    if b is not None:
+        out = out + b.reshape(1, -1, 1)
+    return out, (cols, runs, shifts, length) if save else None
+
+
+def _im2col_vjp(grad: np.ndarray, w: np.ndarray, saved: tuple,
+                need_w: bool, need_x: bool, need_b: bool):
+    """``(dW, dx, db)`` of :func:`_im2col_forward` (``None`` where unneeded).
+
+    ``dW = cols @ g(B·L, O)`` is returned as the ``(O, C, k)`` view of the
+    ``(C, k, O)`` product and ``dx`` as a C-contiguous ``(B, C, L)`` array:
+    the layouts the composed path hands on.
+    """
+    cols, runs, shifts, length = saved
+    out_ch, in_ch, k = w.shape
+    batch, _, out_len = grad.shape
+    dw = dx = db = None
+    if need_w:
+        g_rows = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
+        dw = (cols @ g_rows).reshape(in_ch, k, out_ch).transpose(2, 0, 1)
+    if need_x:
+        w_cols = w.transpose(1, 2, 0).reshape(in_ch * k, out_ch)
+        g_cols = grad.transpose(1, 0, 2).reshape(out_ch, batch * out_len)
+        dcols = (w_cols @ g_cols).reshape(in_ch, k, batch, out_len)
+        # col2im: each tap's share added in tap order from zero, as the
+        # composed scatter does, into the C-contiguous (B, C, L) gradient
+        # it hands x (layout carries into later reductions).
+        if shifts is not None:
+            # Long adds along the flattened (B, L) axis.  The head of each
+            # series is the gradient of a padding read: zeroed, it lands
+            # on the previous series' tail as +0.0, at positions that
+            # still hold their initial +0.0 (taps run by falling shift),
+            # so every sum is the composed one.
+            flat = np.zeros((in_ch, batch * length), dtype=cols.dtype)
+            for j, shift in enumerate(shifts):
+                dcols[:, j, :, :shift] = 0.0
+                tap = dcols[:, j].reshape(in_ch, batch * length)
+                flat[:, :batch * length - shift] += tap[:, shift:]
+            dx = np.ascontiguousarray(
+                flat.reshape(in_ch, batch, length).transpose(1, 0, 2))
+        else:
+            dx = np.zeros((batch, in_ch, length), dtype=cols.dtype)
+            by_channel = dx.transpose(1, 0, 2)
+            for j, (i0, i1, src) in enumerate(runs):
+                by_channel[:, :, src] += dcols[:, j, :, i0:i1]
+    if need_b:
+        db = _unbroadcast(grad, (1, out_ch, 1)).reshape(out_ch)
+    return dw, dx, db
+
+
 def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                  stride: int = 1, padding: Union[int, Tuple[int, int]] = 0,
                  dilation: int = 1) -> Tensor:
     """``ops.conv1d`` as one im2col GEMM tape node.
 
     Replaces the composed pad → window gather → ``einsum("bilk,oik->bol")``
-    → bias reshape → add chain (5 nodes → 1).  The forward gathers the
-    ``k`` taps into one ``cols`` buffer ``(C·k, B·L)`` and computes
-    ``W(O, C·k) @ cols``; the backward is ``dW = cols @ g(B·L, O)``,
-    ``dcols = Wᵀ(C·k, O) @ g(O, B·L)`` plus a col2im scatter.  Both the
-    tap gather and the scatter work on a zero-edged ``(C, B, L+pad)``
-    buffer, so every tap is a contiguous run along the time axis.
+    → bias reshape → add chain (5 nodes → 1).  The forward computes
+    ``W(O, C·k) @ cols`` over the gathered taps; the backward is ``dW =
+    cols @ g(B·L, O)``, ``dcols = Wᵀ(C·k, O) @ g(O, B·L)`` plus a col2im
+    scatter.
 
     These are the operand orientations NumPy's ``einsum(optimize=True)``
     lowers the forward and both VJP contractions to, and the output (and
@@ -374,61 +504,31 @@ def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     reductions (the bias gradient, the weight-norm backward) sum in memory
     order, so the same values in another layout can round differently — a
     C-contiguous ``dW`` alone changes the final loss of a 1100-step
-    nasdaq-mini fit.
+    nasdaq-mini fit.  Shapes :func:`conv1d_fusable` rejects run the
+    composed path.
     """
     x = ensure_tensor(x)
     weight = ensure_tensor(weight)
-    left, right, out_len = _conv1d_geometry(x.shape, weight.shape, padding,
-                                            stride, dilation)
-    out_ch, in_ch, k = weight.shape
-    batch = x.shape[0]
-    if batch == 1 or in_ch * k == 1:
-        # Degenerate shapes where NumPy's einsum lowering departs from the
-        # GEMMs below: with no summed index it broadcast-multiplies, and a
-        # singleton batch lets it hand BLAS strided views of the gathered
-        # windows instead of packed copies.  Either changes the result's
-        # bits or layout, so keep the composed path for them.
+    if x.ndim == 3 and weight.ndim == 3 and not conv1d_fusable(
+            x.shape[0], weight.shape[1], weight.shape[2]):
         return conv1d(x, weight, bias, stride=stride, padding=padding,
                       dilation=dilation)
-    length = x.shape[2]
-    padded_len = left + length + right
-    # One zero-edged (C, B, L+pad) copy of the input; the taps are
-    # contiguous row slices of it.
-    by_channel = np.empty((in_ch, batch, padded_len), dtype=x.data.dtype)
-    by_channel[:, :, :left] = 0.0
-    by_channel[:, :, left + length:] = 0.0
-    by_channel[:, :, left:left + length] = x.data.transpose(1, 0, 2)
-    taps = _tap_slices(out_len, k, stride, dilation)
-    cols = np.empty((in_ch, k, batch, out_len), dtype=x.data.dtype)
-    for j, tap in enumerate(taps):
-        cols[:, j] = by_channel[:, :, tap]
-    cols = cols.reshape(in_ch * k, batch * out_len)
-    out_data = (weight.data.reshape(out_ch, in_ch * k) @ cols).reshape(
-        out_ch, batch, out_len).transpose(1, 0, 2)
     if bias is not None:
         bias = ensure_tensor(bias)
-        out_data = out_data + bias.data.reshape(1, -1, 1)
+    out_data, saved = _im2col_forward(
+        x.data, weight.data, None if bias is None else bias.data, stride,
+        padding, dilation)
 
     def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            g_rows = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
-            dw = (cols @ g_rows).reshape(in_ch, k, out_ch)
-            weight._accumulate(dw.transpose(2, 0, 1))
-        if x.requires_grad:
-            w_cols = weight.data.transpose(1, 2, 0).reshape(in_ch * k, out_ch)
-            g_cols = grad.transpose(1, 0, 2).reshape(out_ch, batch * out_len)
-            dcols = (w_cols @ g_cols).reshape(in_ch, k, batch, out_len)
-            # col2im in the GEMM's (C, B, L) layout, then one transposing
-            # copy: the composed path hands x a C-contiguous (B, C, L)
-            # gradient, and layout carries into later reductions.
-            full = np.zeros((in_ch, batch, padded_len), dtype=x.data.dtype)
-            for j, tap in enumerate(taps):
-                full[:, :, tap] += dcols[:, j]
-            x._accumulate(np.ascontiguousarray(
-                full[:, :, left:left + length].transpose(1, 0, 2)))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(
-                _unbroadcast(grad, (1, out_ch, 1)).reshape(bias.shape))
+        dw, dx, db = _im2col_vjp(
+            grad, weight.data, saved, weight.requires_grad, x.requires_grad,
+            bias is not None and bias.requires_grad)
+        if dw is not None:
+            weight._accumulate(dw)
+        if dx is not None:
+            x._accumulate(dx)
+        if db is not None:
+            bias._accumulate(db)
 
     parents: Tuple[Tensor, ...] = (x, weight)
     if bias is not None:
@@ -436,9 +536,171 @@ def conv1d_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return x._make_child(out_data, parents, backward)
 
 
+def _held(grad: np.ndarray) -> np.ndarray:
+    """``grad`` in the memory order ``Tensor._accumulate`` stores it in.
+
+    A node's first gradient is a copy: C order with the buffer arena on,
+    the gradient's own order without it.  Equal values in the same order,
+    so a fused VJP that skips the interior nodes takes the copy only when
+    it changes the layout.
+    """
+    if arena_enabled():
+        return np.ascontiguousarray(grad)
+    if grad.flags.c_contiguous or grad.flags.f_contiguous:
+        return grad
+    # A transposed view of a contiguous array copies to the same strides.
+    expected = grad.itemsize
+    for stride, extent in sorted(zip(grad.strides, grad.shape)):
+        if extent > 1:
+            if stride != expected:
+                return grad.copy(order="K")
+            expected *= extent
+    return grad
+
+
+def _relu_dropout_keep(pre: np.ndarray,
+                       mask: Optional[np.ndarray]) -> np.ndarray:
+    """The factor ``[pre > 0]·mask`` of ReLU followed by dropout."""
+    live = pre > 0
+    return live if mask is None else live * mask
+
+
+def temporal_block_fused(x: Tensor, weight1: Tensor, bias1: Optional[Tensor],
+                         weight2: Tensor, bias2: Optional[Tensor],
+                         mask1: Optional[np.ndarray] = None,
+                         mask2: Optional[np.ndarray] = None,
+                         downsample_weight: Optional[Tensor] = None,
+                         downsample_bias: Optional[Tensor] = None,
+                         stride: int = 1, dilation: int = 1) -> Tensor:
+    """The Eq. (6) residual block over ``(T, N, C)`` input as one tape node.
+
+    Replaces :class:`repro.core.TemporalConvolution`'s composed chain: the
+    ``(T, N, C) → (N, C, T)`` transpose, the causal conv ``weight1`` (with
+    ``stride``), ReLU, the spatial-dropout product with ``mask1``, the
+    causal conv ``weight2``, ReLU, ``mask2``, the residual add (the input,
+    or its strided 1×1 ``downsample_weight`` conv), the final ReLU and the
+    transpose back (10–11 nodes → 1).  A ``None`` mask is no dropout
+    (eval mode or ``p = 0``).  The convolutions are the im2col GEMMs of
+    :func:`conv1d_fused`; every shape must pass :func:`conv1d_fusable`.
+
+    The VJP follows the composed reverse order: it keeps each interior
+    gradient in the layout the composed node would hold it in, and the
+    input gradient takes the residual's share before conv1's.
+    """
+    x = ensure_tensor(x)
+    if x.ndim != 3:
+        raise ValueError(f"expected (T, N, C) input, got {x.shape}")
+    if not all(conv1d_fusable(x.shape[1], w.shape[1], w.shape[2])
+               for w in (weight1, weight2, downsample_weight)
+               if w is not None):
+        raise ValueError("temporal_block_fused needs im2col-fusable "
+                         "convolutions; use the composed path")
+    causal = (dilation * (weight1.shape[2] - 1), 0)
+
+    def data(t: Optional[Tensor]) -> Optional[np.ndarray]:
+        return None if t is None else t.data
+
+    parents = tuple(t for t in (x, weight1, bias1, weight2, bias2,
+                                downsample_weight, downsample_bias)
+                    if t is not None)
+    # Nothing is saved for a VJP that will not run (no_grad serving).
+    save = is_grad_enabled() and any(t.requires_grad for t in parents)
+    mask1 = None if mask1 is None else _as_array(mask1)
+    mask2 = None if mask2 is None else _as_array(mask2)
+    as_batch = x.data.transpose(1, 2, 0)
+    pre1, saved1 = _im2col_forward(as_batch, weight1.data, data(bias1),
+                                   stride, causal, dilation, save)
+    # ReLU then dropout as one product with keep = (pre > 0)·mask: the
+    # mask is ≥ 0 and the ReLU factor exact, so pre·keep and
+    # (pre·[pre > 0])·mask agree to the bit (signed zeros and NaNs too),
+    # as do the VJP's g·keep and (g·mask)·[pre > 0].
+    keep1 = _relu_dropout_keep(pre1, mask1)
+    # Each intermediate the VJP does not read is dropped once spent, so
+    # the forward's peak (all of it under no_grad) stays the composed
+    # chain's.
+    pre2, saved2 = _im2col_forward(pre1 * keep1, weight2.data, data(bias2),
+                                   1, causal, dilation, save)
+    del pre1
+    keep2 = _relu_dropout_keep(pre2, mask2)
+    act2 = pre2 * keep2
+    del pre2
+    if downsample_weight is None:
+        residual = as_batch
+    else:
+        residual, saved_down = _im2col_forward(
+            as_batch, downsample_weight.data, data(downsample_bias),
+            stride, 0, 1, save)
+    total = act2 + residual
+    del act2, residual
+    live_out = total > 0
+    out_data = (total * live_out).transpose(2, 0, 1)
+    del total
+
+    def wants(t: Optional[Tensor]) -> bool:
+        return t is not None and t.requires_grad
+
+    def backward(grad: np.ndarray) -> None:
+        g_total = _held(_held(grad.transpose(1, 2, 0)) * live_out)
+        # conv2's branch, in reverse.
+        need_act1 = x.requires_grad or wants(weight1) or wants(bias1)
+        dw, d_act1, db = _im2col_vjp(_held(g_total * keep2), weight2.data,
+                                     saved2, wants(weight2), need_act1,
+                                     wants(bias2))
+        if dw is not None:
+            weight2._accumulate(dw)
+        if db is not None:
+            bias2._accumulate(db)
+        # The residual's share of the input gradient comes first.
+        g_input = None
+        if downsample_weight is None:
+            if x.requires_grad:
+                g_input = g_total       # owned, and conv2's branch is done
+        else:
+            dw, g_input, db = _im2col_vjp(
+                g_total, downsample_weight.data, saved_down,
+                wants(downsample_weight), x.requires_grad,
+                wants(downsample_bias))
+            if dw is not None:
+                downsample_weight._accumulate(dw)
+            if db is not None:
+                downsample_bias._accumulate(db)
+        # conv1's branch.
+        if need_act1:
+            dw, dx, db = _im2col_vjp(_held(d_act1 * keep1), weight1.data,
+                                     saved1, wants(weight1),
+                                     x.requires_grad, wants(bias1))
+            if dw is not None:
+                weight1._accumulate(dw)
+            if db is not None:
+                bias1._accumulate(db)
+            if dx is not None:
+                np.add(g_input, dx, out=g_input)
+        if g_input is not None:
+            x._accumulate(g_input.transpose(2, 0, 1))
+
+    return x._make_child(out_data, parents, backward)
+
+
 # ----------------------------------------------------------------------
 # fused time-sensitive adjacency (Eq. 5, dense)
 # ----------------------------------------------------------------------
+def _relation_scores(rel: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eq. 4's importance ``𝓐w`` as one ``(N², K) @ (K,)`` GEMV.
+
+    Bitwise the composed ``einsum("ijk,k->ij", optimize=True)`` without
+    einsum's per-call path planning; a 3-D ``rel @ w`` is not bitwise
+    equal at the NASDAQ-854 shape.
+    """
+    n, k = rel.shape[0], rel.shape[2]
+    return (rel.reshape(-1, k) @ w).reshape(n, n)
+
+
+def _relation_scores_vjp(g: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """``w``'s gradient of :func:`_relation_scores`: the GEMV that is
+    bitwise the composed ``einsum("ij,ijk->k", optimize=True)``."""
+    return g.reshape(-1) @ rel.reshape(-1, rel.shape[2])
+
+
 def time_adjacency_fused(features: Tensor, relations: Tensor, mask: Tensor,
                          weight: Tensor, bias: Tensor,
                          eps: float = 1e-8) -> Tensor:
@@ -462,7 +724,7 @@ def time_adjacency_fused(features: Tensor, relations: Tensor, mask: Tensor,
     rel, msk = relations.data, mask.data
     corr = (feats @ feats.swapaxes(-1, -2)) * _as_array(feats.shape[2]
                                                         ** -0.5)
-    scores = np.einsum("ijk,k->ij", rel, weight.data, optimize=True)
+    scores = _relation_scores(rel, weight.data)
     matrix = (corr * ((scores + bias.data) * msk) * msk
               + _as_array(np.eye(feats.shape[1])))
     degrees = _sum_data(np.abs(matrix), axis=-1) + _as_array(eps)
@@ -491,10 +753,65 @@ def time_adjacency_fused(features: Tensor, relations: Tensor, mask: Tensor,
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g_scores, bias.shape))
         if weight.requires_grad:
-            weight._accumulate(np.einsum("ij,ijk->k", g_scores, rel,
-                                         optimize=True))
+            weight._accumulate(_relation_scores_vjp(g_scores, rel))
 
     return weight._make_child(out_data, (weight, bias), backward)
+
+
+# ----------------------------------------------------------------------
+# fused ranking loss (Eqs. 7–8)
+# ----------------------------------------------------------------------
+def rank_loss_fused(predicted: Tensor, actual: Tensor,
+                    alpha: float) -> Tensor:
+    """``τ_reg + α·τ_rank`` over 1-D scores as one tape node.
+
+    Replaces the composed chain of :func:`repro.core.losses.combined_loss`
+    before its L2 term (15 nodes → 1): the mean squared error, the mean
+    pairwise hinge ``ReLU(-(r̂_i − r̂_j)(r_i − r_j))`` and their α-weighted
+    sum (regression alone when ``alpha`` is 0).  ``actual`` must not
+    require grad.  The scores accumulate in the composed order: the
+    regression term, then the row sum the ``r̂_i`` side hands back, then
+    the negated column sum of the ``r̂_j`` side.
+    """
+    predicted = ensure_tensor(predicted)
+    actual = ensure_tensor(actual)
+    if actual.requires_grad:
+        raise ValueError("rank_loss_fused does not differentiate the "
+                         "labels; use the composed path when they "
+                         "require grad")
+    if predicted.ndim != 1 or predicted.shape != actual.shape \
+            or predicted.shape[0] < 2:
+        raise ValueError("rank_loss_fused expects two equal-length 1-D "
+                         f"vectors of 2+ scores, got {predicted.shape} and "
+                         f"{actual.shape}")
+    p, a = predicted.data, actual.data
+    n = p.shape[0]
+    diff = p + (-a)
+    reg_scale = _as_array(1.0 / n)
+    loss = _sum_data(diff * diff) * reg_scale
+    if alpha:
+        pair_diff = np.expand_dims(p, 1) + (-np.expand_dims(p, 0))
+        true_diff = _as_array(a[:, None] - a[None, :])
+        hinge = -(pair_diff * true_diff)
+        live = hinge > 0
+        rank_scale = _as_array(1.0 / (n * (n - 1)))
+        weight = _as_array(alpha)
+        loss = loss + (_sum_data(hinge * live) * rank_scale) * weight
+
+    def backward(grad: np.ndarray) -> None:
+        g_square = np.broadcast_to(grad * reg_scale, p.shape).copy()
+        g_diff = g_square * diff
+        g_diff = g_diff + g_square * diff
+        predicted._accumulate(g_diff)
+        if alpha:
+            g_hinge = np.broadcast_to((grad * weight) * rank_scale,
+                                      (n, n)).copy()
+            g_pair = -(g_hinge * live) * true_diff
+            predicted._accumulate(_unbroadcast(g_pair, (n, 1)).reshape(n))
+            predicted._accumulate(
+                -_unbroadcast(g_pair, (1, n)).reshape(n))
+
+    return predicted._make_child(np.asarray(loss), (predicted,), backward)
 
 
 # ----------------------------------------------------------------------

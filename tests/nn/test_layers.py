@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.tensor import Tensor, gradcheck
+from repro.core import TemporalConvolution
+from repro.tensor import Tensor, fused_kernels, gradcheck
 
 
 class TestLinear:
@@ -114,22 +115,20 @@ class TestTemporalBlocks:
         for name, p in block.named_parameters():
             assert p.grad is not None, name
 
-    def test_tcn_dilation_stack(self, rng):
-        tcn = nn.TemporalConvNet(2, [4, 4, 4], kernel_size=2, dropout=0.0)
-        out = tcn(Tensor(rng.standard_normal((3, 2, 16))))
-        assert out.shape == (3, 4, 16)
-
     def test_tcn_causality_end_to_end(self):
-        tcn = nn.TemporalConvNet(1, [3, 3], kernel_size=2, dropout=0.0)
-        base = tcn(Tensor(np.zeros((1, 1, 12)))).data
-        bumped = np.zeros((1, 1, 12))
-        bumped[0, 0, 9] = 1.0
-        out = tcn(Tensor(bumped)).data
-        assert np.allclose(out[..., :9], base[..., :9])
-
-    def test_tcn_rejects_empty_channels(self):
-        with pytest.raises(ValueError):
-            nn.TemporalConvNet(2, [])
+        """A bump at t = 9 leaves every earlier output of the dilated
+        causal block untouched, on the fused node and the composed chain."""
+        for enabled in (True, False):
+            conv = TemporalConvolution(2, 3, kernel_size=2, dilation=2,
+                                       dropout=0.0,
+                                       rng=np.random.default_rng(0))
+            with fused_kernels(enabled):
+                base = conv(Tensor(np.zeros((12, 3, 2)))).data
+                bumped = np.zeros((12, 3, 2))
+                bumped[9, 0, 0] = 1.0
+                out = conv(Tensor(bumped)).data
+            assert np.allclose(out[:9], base[:9])
+            assert not np.allclose(out[9:], base[9:])
 
 
 class TestNorm:

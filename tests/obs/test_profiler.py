@@ -8,7 +8,8 @@ import pytest
 
 import repro.tensor.ops as ops
 from repro.cli import main
-from repro.core import RTGCN, TrainConfig, Trainer, l2_penalty
+from repro.core import (RTGCN, TemporalConvolution, TrainConfig, Trainer,
+                        combined_loss, l2_penalty)
 from repro.data import load_market
 from repro.graph import TimeSensitiveStrategy
 from repro.nn import CausalConv1d, CausalWeightNormConv1d
@@ -100,6 +101,32 @@ class TestRecording:
         assert prof.records[("l2_penalty_fused", "forward")].count == 1
         assert prof.records[("l2_penalty_fused", "backward")].count == 1
         assert not any(op in ("mul", "sum", "add")
+                       for op, _ in prof.records)
+
+    def test_fused_temporal_block_is_one_attributed_node(self):
+        """The block runs conv1d_fused's GEMMs through private helpers, so
+        only its own row (and the two weight-norm parents) is recorded."""
+        conv = TemporalConvolution(3, 4, stride=2, dropout=0.1,
+                                   rng=np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(0).normal(size=(12, 5, 3)),
+                   requires_grad=True)
+        with fused_kernels(True), OpProfiler() as prof:
+            conv(x).sum().backward()
+        assert prof.records[("temporal_block_fused", "forward")].count == 1
+        assert prof.records[("temporal_block_fused", "backward")].count == 1
+        assert prof.records[("weight_norm_fused", "forward")].count == 2
+        assert not any(op in ("conv1d_fused", "transpose", "relu", "mul",
+                              "add") for op, _ in prof.records)
+
+    def test_fused_rank_loss_is_one_attributed_node(self):
+        rng = np.random.default_rng(0)
+        scores = Tensor(rng.normal(size=9), requires_grad=True)
+        with fused_kernels(True), OpProfiler() as prof:
+            combined_loss(scores, Tensor(rng.normal(size=9)),
+                          0.1).backward()
+        assert prof.records[("rank_loss_fused", "forward")].count == 1
+        assert prof.records[("rank_loss_fused", "backward")].count == 1
+        assert not any(op in ("mul", "sum", "add", "relu", "unsqueeze")
                        for op, _ in prof.records)
 
     def test_reflected_operators_recorded(self):

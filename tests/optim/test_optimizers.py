@@ -112,6 +112,94 @@ class TestAdam:
             Adam([quadratic_param()], lr=0.0)
 
 
+def _reference_adam_step(opt, state, step):
+    """Adam as a loop over parameters, one set of ufuncs each: the
+    per-element expressions the flat update must reproduce bitwise."""
+    if isinstance(opt, AdamW) and opt.weight_decay:
+        for param in opt.params:
+            if param.grad is not None:
+                param.data -= opt.lr * opt.weight_decay * param.data
+    for i, param in enumerate(opt.params):
+        if param.grad is None:
+            continue
+        grad = param.grad
+        if opt.weight_decay and not isinstance(opt, AdamW):
+            grad = grad + opt.weight_decay * param.data
+        slots = state.setdefault(i, {"m": np.zeros_like(param.data),
+                                     "v": np.zeros_like(param.data)})
+        slots["m"] = opt.beta1 * slots["m"] + (1 - opt.beta1) * grad
+        slots["v"] = opt.beta2 * slots["v"] + (1 - opt.beta2) * grad * grad
+        m_hat = slots["m"] / (1 - opt.beta1 ** step)
+        v_hat = slots["v"] / (1 - opt.beta2 ** step)
+        param.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("cls,weight_decay", [(Adam, 0.0),
+                                                  (Adam, 0.01),
+                                                  (AdamW, 0.01)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_parameter_reference(self, cls, weight_decay,
+                                             dtype):
+        """60 steps; one parameter skips some steps (grad None), one gets
+        transposed gradients, and the optimizer is rebuilt from its
+        state_dict mid-run."""
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (5,), (2, 3, 2), ()]
+        start = [rng.standard_normal(shape).astype(dtype)
+                 for shape in shapes]
+        flat = [Parameter(v.copy()) for v in start]
+        ref = [Parameter(v.copy()) for v in start]
+        opt = cls(flat, lr=0.01, weight_decay=weight_decay)
+        ref_opt = cls(ref, lr=0.01, weight_decay=weight_decay)
+        ref_state = {}
+        for step in range(1, 61):
+            for p, q in zip(flat, ref):
+                grad = rng.standard_normal(p.shape).astype(dtype)
+                if p.ndim == 3:
+                    grad = grad.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+                p.grad, q.grad = grad.copy(order="K"), grad.copy(order="K")
+            if step % 7 == 3:
+                flat[1].grad = ref[1].grad = None
+            if step == 30:
+                saved = opt.state_dict()
+                opt = cls(flat, lr=0.01, weight_decay=weight_decay)
+                opt.load_state_dict(saved)
+            opt.step()
+            _reference_adam_step(ref_opt, ref_state, step)
+            for p, q in zip(flat, ref):
+                np.testing.assert_array_equal(p.data, q.data)
+        for i, slots in ref_state.items():
+            for slot in ("m", "v"):
+                np.testing.assert_array_equal(opt.state[i][slot],
+                                              slots[slot])
+
+    def test_skipped_parameter_moments_left_alone(self):
+        a, b = Parameter(np.ones(3)), Parameter(np.ones(2))
+        opt = Adam([a, b], lr=0.1)
+        a.grad, b.grad = np.full(3, 0.5), np.full(2, 0.5)
+        opt.step()
+        m_b, v_b = opt.state[1]["m"].copy(), opt.state[1]["v"].copy()
+        b.grad = None
+        opt.step()
+        np.testing.assert_array_equal(opt.state[1]["m"], m_b)
+        np.testing.assert_array_equal(opt.state[1]["v"], v_b)
+        assert not np.array_equal(opt.state[0]["m"], np.full(3, 0.05))
+
+    def test_state_dict_format_unchanged(self):
+        p, q = Parameter(np.ones((2, 3))), Parameter(np.ones(4))
+        opt = Adam([p, q], lr=0.1)
+        p.grad, q.grad = np.ones((2, 3)), np.ones(4)
+        opt.step()
+        state = opt.state_dict()
+        assert set(state) == {"type", "step_count", "hyperparameters",
+                              "state"}
+        assert set(state["state"]) == {0, 1}
+        assert set(state["state"][0]) == {"m", "v"}
+        assert state["state"][0]["m"].shape == (2, 3)
+        assert state["state"][1]["v"].shape == (4,)
+
+
 class TestAdamWAndRMSprop:
     def test_adamw_decays_even_with_zero_grad(self):
         p = Parameter(np.array([1.0]))

@@ -13,17 +13,20 @@ import numpy as np
 import pytest
 
 from repro.baselines import LSTMScorer
-from repro.core import RTGCN, TrainConfig, Trainer, TrainerCallback, l2_penalty
+from repro.core import (RTGCN, TemporalConvolution, TrainConfig, Trainer,
+                        TrainerCallback, combined_loss, l2_penalty)
 from repro.data import load_market
 from repro.graph import RelationMatrix, TimeSensitiveStrategy
 from repro.nn import (CausalConv1d, CausalWeightNormConv1d, Conv1d, GRUCell,
                       GraphConv, LSTMCell, Linear)
 from repro.tensor import (Tensor, SparsePattern, SparseTensor,
-                          affine_act_fused, conv1d, conv1d_fused,
+                          affine_act_fused, arena, conv1d, conv1d_fused,
                           dtype_policy, fused_kernels, gcn_propagate_fused,
                           gradcheck, gru_cell_fused, l2_penalty_fused,
-                          lstm_cell_fused, no_grad, tape_node_count,
+                          lstm_cell_fused, no_grad, rank_loss_fused,
+                          tape_node_count, temporal_block_fused,
                           time_adjacency_fused, weight_norm_fused)
+from repro.tensor.fused import _relation_scores, _relation_scores_vjp
 
 #: relative tolerance documented for float32 fused-vs-composed agreement
 #: (see docs/performance.md) — rounding differs only through fp32 noise.
@@ -461,6 +464,25 @@ class TestTimeAdjacencyFused:
         assert _tape_nodes(lambda: strategy(features), True) == 1
         assert _tape_nodes(lambda: strategy(features), False) == 14
 
+    def test_importance_gemv_matches_einsum_at_nasdaq_shape(self):
+        """Eq. 4's ``𝓐w`` and its weight VJP as flat GEMVs are bitwise the
+        einsums of the composed path at the NASDAQ-854 shape (K = 138),
+        where a 3-D ``rel @ w`` is not.  The random multi-hot relations
+        all start at the first 48 stocks, so the other 94% of the 805 MB
+        tensor stays untouched zero pages."""
+        n, k = 854, 138
+        rng = np.random.default_rng(3)
+        rel = np.zeros((n, n, k))
+        rel[:48] = rng.random((48, n, k)) < 0.05
+        weight = rng.uniform(0.5, 1.5, k)
+        g_scores = rng.standard_normal((n, n))
+        np.testing.assert_array_equal(
+            _relation_scores(rel, weight),
+            np.einsum("ijk,k->ij", rel, weight, optimize=True))
+        np.testing.assert_array_equal(
+            _relation_scores_vjp(g_scores, rel),
+            np.einsum("ij,ijk->k", g_scores, rel, optimize=True))
+
     def test_features_requiring_grad_keep_composed_path(self, rng):
         strategy = self._strategy(rng)
         features = Tensor(rng.standard_normal((3, 7, 4)),
@@ -499,6 +521,230 @@ class TestTimeAdjacencyFused:
         np.testing.assert_array_equal(outs[0].data, outs[1].data)
         # No recorded closure: nothing the VJP would read stays alive.
         assert outs[0]._backward is None and not outs[0].requires_grad
+
+
+def _block(cin, cout, stride=1, dilation=1, dropout=0.1, train=True):
+    conv = TemporalConvolution(cin, cout, kernel_size=3, stride=stride,
+                               dilation=dilation, dropout=dropout,
+                               rng=np.random.default_rng(0))
+    conv.train(train)
+    return conv
+
+
+def _reseed_dropout(conv):
+    # One generator for both, as TemporalBlock builds them: the fused
+    # node must draw drop1's mask before drop2's.
+    shared = np.random.default_rng(11)
+    conv.block.drop1._rng = conv.block.drop2._rng = shared
+
+
+def _block_run(conv, x_data, grad, enabled):
+    """Output, input gradient and every parameter gradient of one
+    forward/backward, plus the next dropout draw (RNG consumption).
+    Copied in their own memory order: with the arena on, the next run
+    recycles the gradient buffers."""
+    _reseed_dropout(conv)
+    conv.zero_grad()
+    leaf = Tensor(x_data, requires_grad=True)
+    with fused_kernels(enabled):
+        out = conv(leaf * 1.0)
+    out.backward(grad)
+    arrays = ([out.data, leaf.grad] + [p.grad for p in conv.parameters()]
+              + [np.asarray(conv.block.drop2._rng.uniform())])
+    return [a.copy(order="K") for a in arrays]
+
+
+class TestTemporalBlockFused:
+    """Bitwise (values and memory order) against the composed chain."""
+
+    CASES = {
+        "train-dropout": dict(cin=32, cout=32),
+        "p0": dict(cin=32, cout=32, dropout=0.0),
+        "eval": dict(cin=32, cout=32, train=False),
+        "stride2-downsample": dict(cin=32, cout=32, stride=2),
+        "tconv-4to32": dict(cin=4, cout=32),
+        "dilation2": dict(cin=32, cout=32, dilation=2),
+        "widen-stride2-dilation2": dict(cin=3, cout=5, stride=2,
+                                        dilation=2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("grad_layout", ["C", "transposed"])
+    @pytest.mark.parametrize("buffer_arena", [False, True])
+    def test_bitwise_matches_composed(self, rng, case, grad_layout,
+                                      buffer_arena):
+        conv = _block(**self.CASES[case])
+        # (T, N, C) at the Fig. 5 shape: reductions long enough that
+        # another memory order rounds differently.
+        x_data = rng.standard_normal((20, 48, conv.in_channels))
+        with no_grad(), fused_kernels(False):
+            _reseed_dropout(conv)
+            shape = conv(Tensor(x_data)).shape
+        grad = rng.standard_normal(shape)
+        if grad_layout == "transposed":
+            # The (N, C, H) memory order of a grad from a later transpose.
+            grad = np.ascontiguousarray(grad.transpose(1, 2, 0)) \
+                .transpose(2, 0, 1)
+        with arena(buffer_arena):
+            results = [_block_run(conv, x_data, grad, enabled)
+                       for enabled in (True, False)]
+        _assert_bitwise_with_strides(*results)
+
+    def test_no_grad_forward_matches_composed(self, rng):
+        conv = _block(4, 32, stride=2)
+        x = Tensor(rng.standard_normal((20, 9, 4)))
+        outs = []
+        for enabled in (True, False):
+            _reseed_dropout(conv)
+            with fused_kernels(enabled), no_grad():
+                outs.append(conv(x))
+        _assert_bitwise_with_strides([outs[0].data], [outs[1].data])
+        assert outs[0]._backward is None and not outs[0].requires_grad
+
+    def test_one_tape_node(self, rng):
+        """The block plus its two weight-norm parents; the composed chain
+        also records both transposes, 3 ReLUs, 2 dropout products, the
+        residual add and 5 nodes per conv."""
+        x = Tensor(rng.standard_normal((20, 9, 32)), requires_grad=True)
+        conv = _block(32, 32)
+        assert _tape_nodes(lambda: conv(x), True) == 3
+        assert _tape_nodes(lambda: conv(x), False) == 30
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_gradcheck(self, rng, policy):
+        with dtype_policy(policy):
+            x = _t(rng, (7, 3, 2))
+            w1, b1 = _t(rng, (4, 2, 2), 0.5), _t(rng, (4,))
+            w2, b2 = _t(rng, (4, 4, 2), 0.5), _t(rng, (4,))
+            wd, bd = _t(rng, (4, 2, 1), 0.5), _t(rng, (4,))
+            keep = np.array([[[2.0], [0.0], [2.0], [2.0]]] * 3)
+            proj = Tensor(rng.standard_normal((4, 3, 4)))
+            gradcheck(lambda: (temporal_block_fused(
+                x, w1, b1, w2, b2, keep, keep[::-1], wd, bd, stride=2,
+                dilation=2) * proj).sum(), [x, w1, b1, w2, b2, wd, bd])
+
+    @pytest.mark.parametrize("policy", ["float32", "mixed"])
+    def test_matches_composed_within_tolerance(self, rng, policy):
+        with dtype_policy(policy):
+            conv = _block(4, 32, stride=2)
+            conv.astype(np.dtype(np.float32))
+            x = _t(rng, (20, 9, 4))
+            leaves = [x] + list(conv.parameters())
+
+            def loss():
+                _reseed_dropout(conv)
+                return (conv(x) ** 2).sum()
+
+            (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(
+                loss, leaves)
+            _compare(policy, f_loss, c_loss, f_grads, c_grads)
+
+    def test_single_stock_keeps_composed_path(self, rng):
+        """A one-stock batch is a degenerate im2col shape."""
+        conv = _block(4, 8)
+        x = _t(rng, (10, 1, 4))
+        assert _tape_nodes(lambda: conv(x), True) > 3
+        leaves = [x] + list(conv.parameters())
+
+        def loss():
+            _reseed_dropout(conv)
+            return (conv(x) ** 2).sum()
+
+        (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(loss, leaves)
+        _compare("float64", f_loss, c_loss, f_grads, c_grads)
+        w = Tensor(np.ones((8, 4, 3)))
+        with pytest.raises(ValueError, match="composed"):
+            temporal_block_fused(x, w, None, Tensor(np.ones((8, 8, 3))),
+                                 None)
+
+
+def _scores_and_labels(rng, n=48):
+    return rng.standard_normal(n) * 0.02, rng.standard_normal(n) * 0.02
+
+
+class TestRankLossFused:
+    @pytest.mark.parametrize("alpha", [0.1, 0.0, 1])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_bitwise_matches_composed(self, rng, alpha, weight_decay):
+        """Loss and the scores gradient, as the trainer calls it."""
+        pred, label = _scores_and_labels(rng)
+        head = Tensor(rng.standard_normal(48), requires_grad=True)
+        results = []
+        for enabled in (True, False):
+            leaf = Tensor(pred, requires_grad=True)
+            head.zero_grad()
+            scores = leaf * 1.0
+            with fused_kernels(enabled):
+                loss = combined_loss(scores, Tensor(label), alpha,
+                                     parameters=[head],
+                                     weight_decay=weight_decay)
+            loss.backward()
+            results.append([np.asarray(loss.data), leaf.grad]
+                           + ([head.grad] if weight_decay else []))
+        _assert_bitwise_with_strides(*results)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_gradcheck(self, rng, policy):
+        with dtype_policy(policy):
+            pred, label = _scores_and_labels(rng, 7)
+            scores = Tensor(pred * 50.0, requires_grad=True)
+            gradcheck(lambda: rank_loss_fused(scores, Tensor(label * 50.0),
+                                              0.3), [scores])
+
+    @pytest.mark.parametrize("policy", ["float32", "mixed"])
+    def test_matches_composed_within_tolerance(self, rng, policy):
+        with dtype_policy(policy):
+            pred, label = _scores_and_labels(rng)
+            scores = _t(rng, (48,), 0.02)
+            (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(
+                lambda: combined_loss(scores, Tensor(label), 0.1),
+                [scores])
+            _compare(policy, f_loss, c_loss, f_grads, c_grads)
+
+    def test_one_tape_node(self, rng):
+        pred, label = _scores_and_labels(rng)
+        scores = Tensor(pred, requires_grad=True)
+        build = lambda: combined_loss(scores, Tensor(label), 0.1)  # noqa
+        assert _tape_nodes(build, True) == 1
+        assert _tape_nodes(build, False) == 15
+
+    def test_other_inputs_keep_composed_path(self, rng):
+        """One stock, 2-D scores and labels that require grad."""
+        one = Tensor(np.ones(1), requires_grad=True)
+        assert _tape_nodes(lambda: combined_loss(one, Tensor(np.ones(1)),
+                                                 0.1), True) > 1
+        wide = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="1-D"):
+            combined_loss(wide, Tensor(np.ones((3, 2))), 0.1)
+        labels = Tensor(np.arange(4.0), requires_grad=True)
+        combined_loss(Tensor(np.ones(4)), labels, 0.1).backward()
+        assert labels.grad is not None
+        with pytest.raises(ValueError, match="labels"):
+            rank_loss_fused(Tensor(np.ones(4)), labels, 0.1)
+
+
+class TestFig5TapeLength:
+    """Tape nodes of one training step's forward and loss (the backward
+    and optimizer record none) at the Fig. 5 shape."""
+
+    @pytest.mark.parametrize("name,bound", [("RT-GCN (T)", 20),
+                                            ("Rank_LSTM", 50)])
+    def test_step_tape_within_bound(self, name, bound):
+        dataset = load_market("nasdaq-mini", seed=0)
+        if name == "Rank_LSTM":
+            model = LSTMScorer(rng=np.random.default_rng(1))
+        else:
+            model = RTGCN(dataset.relations, strategy="time",
+                          rng=np.random.default_rng(1))
+        config = TrainConfig(window=20)
+        day = dataset.split(20)[0][0]
+        features = Tensor(dataset.features(day, 20))
+        params = list(model.parameters())
+        before = tape_node_count()
+        combined_loss(model(features), Tensor(dataset.label(day)),
+                      config.alpha, parameters=params,
+                      weight_decay=config.weight_decay)
+        assert tape_node_count() - before <= bound
 
 
 class TestWeightNormFused:
