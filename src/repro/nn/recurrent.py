@@ -13,7 +13,8 @@ import numpy as np
 
 from ..tensor import (Tensor, concat, ensure_tensor, linear, sigmoid, stack,
                       tanh)
-from ..tensor.fused import fused_enabled, gru_cell_fused, lstm_cell_fused
+from ..tensor.fused import (fused_enabled, gru_cell_fused, lstm_cell_fused,
+                           lstm_layer_fused)
 from . import init
 from .module import Module, Parameter
 from .random import get_rng
@@ -92,34 +93,43 @@ class LSTM(Module):
     def _cell(self, layer: int) -> LSTMCell:
         return self._modules[f"cell{layer}"]
 
+    def _initial_state(self, layer: int, batch: int,
+                       state: Optional[Tuple[Tensor, Tensor]]
+                       ) -> Tuple[Tensor, Tensor]:
+        # An explicit state seeds a single-layer LSTM only.
+        if state is not None and layer == 0 and self.num_layers == 1:
+            return state
+        return self._cell(layer).initial_state(batch)
+
     def forward(self, x: Tensor,
                 state: Optional[Tuple[Tensor, Tensor]] = None
                 ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
         if x.ndim != 3:
             raise ValueError(f"LSTM expects (B, T, D) input, got {x.shape}")
         batch, steps, _ = x.shape
+        if fused_enabled():
+            # One tape node per layer for the whole sequence.
+            outputs = x
+            for layer in range(self.num_layers):
+                cell = self._cell(layer)
+                h, c = self._initial_state(layer, batch, state)
+                outputs, h, c = lstm_layer_fused(
+                    outputs, h, c, cell.weight_ih, cell.weight_hh,
+                    cell.bias, self.hidden_size)
+            return outputs, (h, c)
         layer_input = [x[:, t, :] for t in range(steps)]
-        h = c = None
         for layer in range(self.num_layers):
             cell = self._cell(layer)
-            if state is not None and layer == 0 and self.num_layers == 1:
-                h, c = state
-            else:
-                h, c = cell.initial_state(batch)
-            fused = fused_enabled()
-            if not fused:
-                # Transpose each weight once per sequence, so every step's
-                # weight gradient reaches it through one node, in the
-                # reverse-time order the fused cell accumulates in
-                # (bitwise-equal paths under float64).
-                w_ih_t = cell.weight_ih.swapaxes(-1, -2)
-                w_hh_t = cell.weight_hh.swapaxes(-1, -2)
+            h, c = self._initial_state(layer, batch, state)
+            # Transpose each weight once per sequence, so every step's
+            # weight gradient reaches it through one node, in the
+            # reverse-time order the fused layer accumulates in
+            # (bitwise-equal paths under float64).
+            w_ih_t = cell.weight_ih.swapaxes(-1, -2)
+            w_hh_t = cell.weight_hh.swapaxes(-1, -2)
             outputs = []
             for step_x in layer_input:
-                if fused:
-                    h, c = cell(step_x, (h, c))
-                else:
-                    h, c = cell._composed_step(step_x, h, c, w_ih_t, w_hh_t)
+                h, c = cell._composed_step(step_x, h, c, w_ih_t, w_hh_t)
                 outputs.append(h)
             layer_input = outputs
         return stack(layer_input, axis=1), (h, c)

@@ -73,15 +73,19 @@ _SPARSE_PRIMITIVES: Dict[str, str] = {
 }
 
 #: fused composite nodes of :mod:`repro.tensor.fused`.  Each is a single
-#: tape node (two for the LSTM's h/c pair), so its row replaces the chain
-#: of primitive rows the composed path would have produced — a profile of
-#: a fused run attributes the whole cell/propagation to one labeled op.
+#: tape node (two for the LSTM cell's h/c pair; the LSTM layer's
+#: ``outputs`` and ``c`` handles hand their gradient to its one recurrence
+#: node, and their backward is timed under the layer's name), so its row
+#: replaces the chain of primitive rows the composed path would have
+#: produced — a profile of a fused run attributes the whole
+#: cell/layer/propagation to one labeled op.
 #: A fused node that runs another's arithmetic calls its private helpers
 #: (the temporal block shares ``conv1d_fused``'s im2col GEMMs), never the
 #: patched public function, so no forward is counted twice.
 _FUSED_PRIMITIVES: Dict[str, str] = {
     "affine_act_fused": "affine_act_fused",
     "lstm_cell_fused": "lstm_cell_fused",
+    "lstm_layer_fused": "lstm_layer_fused",
     "gru_cell_fused": "gru_cell_fused",
     "gcn_propagate_fused": "gcn_propagate_fused",
     "conv1d_fused": "conv1d_fused",

@@ -12,8 +12,8 @@ from .dtype import (DtypePolicy, accum_dtype, default_dtype, dtype_policy,
                     get_dtype_policy, set_default_dtype)
 from .fused import (affine_act_fused, conv1d_fused, fused_enabled,
                     fused_kernels, gcn_propagate_fused, gru_cell_fused,
-                    l2_penalty_fused, lstm_cell_fused, rank_loss_fused,
-                    set_fused_enabled, temporal_block_fused,
+                    l2_penalty_fused, lstm_cell_fused, lstm_layer_fused,
+                    rank_loss_fused, set_fused_enabled, temporal_block_fused,
                     time_adjacency_fused, weight_norm_fused)
 from .grad_mode import (enable_grad, inference_mode, is_grad_enabled,
                         no_grad, set_grad_enabled, tape_node_count)
@@ -33,10 +33,10 @@ __all__ = [
     "arena", "enable_arena", "arena_enabled", "arena_stats", "reset_arena",
     "clear_arena", "retain_heap",
     "fused_kernels", "set_fused_enabled", "fused_enabled",
-    "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
-    "gcn_propagate_fused", "conv1d_fused", "time_adjacency_fused",
-    "weight_norm_fused", "l2_penalty_fused", "temporal_block_fused",
-    "rank_loss_fused",
+    "affine_act_fused", "lstm_cell_fused", "lstm_layer_fused",
+    "gru_cell_fused", "gcn_propagate_fused", "conv1d_fused",
+    "time_adjacency_fused", "weight_norm_fused", "l2_penalty_fused",
+    "temporal_block_fused", "rank_loss_fused",
     "SparsePattern", "SparseTensor", "spmm", "sddmm", "sparse_gather",
     "sparse_segment_sum",
     "no_grad", "enable_grad", "inference_mode", "is_grad_enabled",

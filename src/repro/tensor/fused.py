@@ -2,11 +2,12 @@
 
 The autograd engine's per-node Python dispatch dominates small-op chains:
 an LSTM cell alone records ~20 tape nodes per step.  Each fused op below
-collapses one such chain (affine+activation, a full LSTM/GRU cell, GCN
-propagation, the Eq. 6 temporal convolution, the Eq. 5 time-sensitive
-adjacency, weight normalization, the Eq. 9 L2 penalty) into one or two
-nodes with a closed-form backward, cutting tape length and intermediate
-materialization on both dense and sparse graph modes.
+collapses one such chain (affine+activation, a full LSTM/GRU cell, a
+whole LSTM layer over its sequence, GCN propagation, the Eq. 6 temporal
+convolution, the Eq. 5 time-sensitive adjacency, weight normalization,
+the Eq. 9 L2 penalty) into one or two nodes with a closed-form backward,
+cutting tape length and intermediate materialization on both dense and
+sparse graph modes.
 
 Equivalence contract
 --------------------
@@ -28,7 +29,8 @@ forward so benchmarks can compare paths in one process.
 
 Arena note: backward closures never retain their ``grad`` argument (the
 buffer is recycled as soon as the closure returns); cross-node stashes
-(LSTM's h→c hand-off) store freshly computed products instead.
+store freshly computed products (the LSTM cell's h→c hand-off) or, with
+the arena on, a copy (the LSTM layer's ``outputs``/``c`` handles).
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ from .arena import arena_enabled
 from .grad_mode import is_grad_enabled
 from .ops import _conv1d_geometry, conv1d
 from .sparse import SparseTensor, _csr_matmul, _sampled_inner
-from .tensor import (Tensor, _as_array, _sum_data, _unbroadcast,
+from .tensor import (Tensor, _as_array, _sigmoid, _sum_data, _unbroadcast,
                      ensure_tensor)
 
 __all__ = [
     "set_fused_enabled", "fused_enabled", "fused_kernels",
-    "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
-    "gcn_propagate_fused", "conv1d_fused", "time_adjacency_fused",
-    "weight_norm_fused", "l2_penalty_fused", "conv1d_fusable",
-    "temporal_block_fused", "rank_loss_fused",
+    "affine_act_fused", "lstm_cell_fused", "lstm_layer_fused",
+    "gru_cell_fused", "gcn_propagate_fused", "conv1d_fused",
+    "time_adjacency_fused", "weight_norm_fused", "l2_penalty_fused",
+    "conv1d_fusable", "temporal_block_fused", "rank_loss_fused",
 ]
 
 _enabled = True
@@ -82,14 +84,6 @@ def fused_kernels(enabled: bool = True) -> Iterator[None]:
 # ----------------------------------------------------------------------
 # shared scalar kernels (identical formulas to the Tensor methods)
 # ----------------------------------------------------------------------
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Must match Tensor.sigmoid bit for bit.
-    return np.where(x >= 0,
-                    1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
-                    np.exp(np.clip(x, -500, 500))
-                    / (1.0 + np.exp(np.clip(x, -500, 500))))
-
-
 _ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid", "leaky_relu")
 
 
@@ -170,8 +164,69 @@ def affine_act_fused(x: Tensor, weight: Tensor,
 
 
 # ----------------------------------------------------------------------
-# fused LSTM cell
+# fused LSTM: one step's arithmetic, one cell, one whole layer
 # ----------------------------------------------------------------------
+def _gate_major(array: np.ndarray) -> np.ndarray:
+    """The ``(..., 4, H)`` view of ``(..., 4H)``, as ``(4, ..., H)``."""
+    split = array.reshape(array.shape[:-1] + (4, -1))
+    return np.moveaxis(split, -2, 0)
+
+
+def _lstm_step(gates: np.ndarray, c_prev: np.ndarray, hidden_size: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM step from its pre-activations ``gates`` ``(..., 4H)``.
+
+    Returns ``(acts, c, tanh_c, h)``.  ``acts`` is gate-major
+    ``(4, ..., H)`` and holds ``i, f, tanh(g), o``: one sigmoid over all
+    4H gates, then ``tanh(g)`` written over the g slot, so a step keeps
+    4H activations and every gate is contiguous for the arithmetic that
+    follows.
+    """
+    H = hidden_size
+    acts = np.empty((4,) + gates.shape[:-1] + (H,), gates.dtype)
+    _sigmoid(gates.reshape(gates.shape[:-1] + (4, H)),
+             out=np.moveaxis(acts, 0, -2))
+    i, f, g, o = acts
+    np.tanh(gates[..., 2 * H:3 * H], out=g)
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return acts, c, tanh_c, o * tanh_c
+
+
+def _lstm_h_vjp(grad_h: np.ndarray, acts: np.ndarray, tanh_c: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``h = o·tanh(c)`` in reverse: the gradient's shares for ``c``, ``o``."""
+    return (grad_h * acts[3]) * (1.0 - tanh_c ** 2), grad_h * tanh_c
+
+
+def _lstm_gates_vjp(grad_c: np.ndarray, grad_o: Optional[np.ndarray],
+                    acts: np.ndarray, c_prev: np.ndarray,
+                    scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``c = f·c_prev + i·g`` and the gate activations in reverse.
+
+    Writes the pre-activation gradient into ``out`` ``(..., 4H)``, with a
+    zero o slot when ``grad_o`` is ``None`` (``h`` received no gradient),
+    and returns ``c_prev``'s gradient.  ``scratch`` is a gate-major
+    buffer like ``acts``.  Per slot the products associate as the
+    composed cell's do: ``((dc·g)·i)·(1-i)``, ``((dc·c_prev)·f)·(1-f)``,
+    ``(dc·i)·(1-g²)`` and ``(do·o)·(1-o)``; the shared factors run as one
+    pass over two or four gates.
+    """
+    i, f, g, o = acts
+    np.multiply(grad_c, g, out=scratch[0])
+    np.multiply(grad_c, c_prev, out=scratch[1])
+    scratch[:2] *= acts[:2]
+    np.multiply(grad_c, i, out=scratch[2])
+    if grad_o is None:
+        scratch[3] = 0.0
+    else:
+        np.multiply(grad_o, o, out=scratch[3])
+    slope = 1.0 - acts
+    np.subtract(1.0, g ** 2, out=slope[2])
+    np.multiply(scratch, slope, out=_gate_major(out))
+    return grad_c * f
+
+
 def lstm_cell_fused(x: Tensor, h_prev: Tensor, c_prev: Tensor,
                     w_ih: Tensor, w_hh: Tensor, bias: Tensor,
                     hidden_size: int) -> Tuple[Tensor, Tensor]:
@@ -190,34 +245,22 @@ def lstm_cell_fused(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     H = hidden_size
     gates = (x.data @ w_ih.data.swapaxes(-1, -2)
              + h_prev.data @ w_hh.data.swapaxes(-1, -2) + bias.data)
-    i = _sigmoid(gates[..., 0 * H:1 * H])
-    f = _sigmoid(gates[..., 1 * H:2 * H])
-    g = np.tanh(gates[..., 2 * H:3 * H])
-    o = _sigmoid(gates[..., 3 * H:4 * H])
-    c_data = f * c_prev.data + i * g
-    tanh_c = np.tanh(c_data)
-    h_data = o * tanh_c
-
+    acts, c_data, tanh_c, h_data = _lstm_step(gates, c_prev.data, H)
     ctx = {"grad_o": None}
 
     def backward_c(grad_c: np.ndarray) -> None:
-        do = ctx["grad_o"]
+        grad_o = ctx["grad_o"]
         ctx["grad_o"] = None
-        di = grad_c * g
-        df = grad_c * c_prev.data
-        dg = grad_c * i
-        di_pre = di * i * (1.0 - i)
-        df_pre = df * f * (1.0 - f)
-        dg_pre = dg * (1.0 - g ** 2)
-        do_pre = (do * o * (1.0 - o) if do is not None
-                  else np.zeros_like(o))
-        dgates = np.concatenate([di_pre, df_pre, dg_pre, do_pre], axis=-1)
+        dtype = np.result_type(grad_c, acts)
+        dgates = np.empty(acts.shape[1:-1] + (4 * H,), dtype)
+        dc_prev = _lstm_gates_vjp(grad_c, grad_o, acts, c_prev.data,
+                                  np.empty(acts.shape, dtype), dgates)
         if x.requires_grad:
             x._accumulate(_unbroadcast(dgates @ w_ih.data, x.shape))
         if h_prev.requires_grad:
             h_prev._accumulate(_unbroadcast(dgates @ w_hh.data, h_prev.shape))
         if c_prev.requires_grad:
-            c_prev._accumulate(_unbroadcast(grad_c * f, c_prev.shape))
+            c_prev._accumulate(_unbroadcast(dc_prev, c_prev.shape))
         if w_ih.requires_grad:
             w_ih._accumulate(_weight_grad(x.data, dgates, w_ih))
         if w_hh.requires_grad:
@@ -231,12 +274,141 @@ def lstm_cell_fused(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     def backward_h(grad_h: np.ndarray) -> None:
         # h = o * tanh(c): route tanh's share into c's gradient through the
         # engine, keep the output-gate share for c's backward.
-        dtanh = grad_h * o
-        c._accumulate(dtanh * (1.0 - tanh_c ** 2))
-        ctx["grad_o"] = grad_h * tanh_c
+        dc, ctx["grad_o"] = _lstm_h_vjp(grad_h, acts, tanh_c)
+        c._accumulate(dc)
 
     h = c._make_child(h_data, (c,), backward_h)
     return h, c
+
+
+def _running_sum(total: Optional[np.ndarray],
+                 term: np.ndarray) -> np.ndarray:
+    """``total + term`` in place, the way repeated ``_accumulate`` adds."""
+    if total is None:
+        return term
+    np.add(total, term, out=total)
+    return total
+
+
+def _stashed(grad: np.ndarray) -> np.ndarray:
+    """A gradient a backward keeps past its own return.
+
+    With the buffer arena on, the engine recycles ``grad`` as soon as the
+    closure returns; without it, ``grad`` is the node's own copy.
+    """
+    return grad.copy() if arena_enabled() else grad
+
+
+def lstm_layer_fused(x: Tensor, h0: Tensor, c0: Tensor, w_ih: Tensor,
+                     w_hh: Tensor, bias: Tensor, hidden_size: int
+                     ) -> Tuple[Tensor, Tensor, Tensor]:
+    """A whole LSTM layer over ``(B, T, D)`` input as one tape node.
+
+    Returns ``(outputs, h, c)``: the hidden state of every step
+    ``(B, T, H)`` and the final ``h`` and ``c``.  The recurrence node owns
+    the six inputs and holds ``h``.  ``outputs`` and ``c`` are handles on
+    it whose backward only hands their gradient over, so gradient reaches
+    the layer through whichever of the three a caller uses.
+
+    The forward is :func:`lstm_cell_fused`'s arithmetic looped over T on
+    plain arrays; the VJP is one reverse-time loop of the cell's VJP.
+    Parameter gradients reach ``_accumulate`` as they do on the composed
+    path (:meth:`repro.nn.LSTM.forward` with fusion off): each weight's
+    once, summed over the steps in reverse time (its transpose is one node
+    per sequence there), the bias's once per step (one add node per step
+    there).  So another term on a parameter, such as an L2 penalty's,
+    lands in the same place in every sum whether its backward runs before
+    the layer's or after.  Each step keeps its 4H activations and
+    ``c_prev``/``tanh(c)``; nothing is kept when no gradient will be
+    taken.
+    """
+    x = ensure_tensor(x)
+    h0 = ensure_tensor(h0)
+    c0 = ensure_tensor(c0)
+    if x.ndim != 3:
+        raise ValueError(f"LSTM expects (B, T, D) input, got {x.shape}")
+    H = hidden_size
+    steps = x.shape[1]
+    parents = (x, h0, c0, w_ih, w_hh, bias)
+    save = is_grad_enabled() and any(t.requires_grad for t in parents)
+    w_ih_t = w_ih.data.swapaxes(-1, -2)
+    w_hh_t = w_hh.data.swapaxes(-1, -2)
+    h_data, c_data = h0.data, c0.data
+    hs: List[np.ndarray] = []
+    acts_seq: List[np.ndarray] = []
+    c_prev_seq: List[np.ndarray] = []
+    tanh_c_seq: List[np.ndarray] = []
+    for t in range(steps):
+        gates = x.data[:, t, :] @ w_ih_t + h_data @ w_hh_t + bias.data
+        acts, c_next, tanh_c, h_data = _lstm_step(gates, c_data, H)
+        if save:
+            acts_seq.append(acts)
+            c_prev_seq.append(c_data)
+            tanh_c_seq.append(tanh_c)
+        hs.append(h_data)
+        c_data = c_next
+    outputs_data = np.stack(hs, axis=1)
+    del hs[:-1]
+    ctx: dict = {"outputs": None, "c": None}
+
+    def backward(grad_h: np.ndarray) -> None:
+        d_out, grad_c = ctx["outputs"], ctx["c"]
+        ctx["outputs"] = ctx["c"] = None
+        dtype = np.result_type(grad_h, acts_seq[0])
+        scratch = np.empty(acts_seq[0].shape, dtype)
+        dgates = np.empty(grad_h.shape[:-1] + (4 * H,), dtype)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        # Weight gradients summed in the (in, 4H) layout, as the composed
+        # path's once-per-sequence transposes hold them.
+        dw_ih = dw_hh = None
+        dh = grad_h
+        for t in reversed(range(steps)):
+            if t < steps - 1:
+                dh = dh_carry if d_out is None else d_out[:, t, :] + dh_carry
+            dc_h, grad_o = _lstm_h_vjp(dh, acts_seq[t], tanh_c_seq[t])
+            grad_c = dc_h if grad_c is None else grad_c + dc_h
+            grad_c = _lstm_gates_vjp(grad_c, grad_o, acts_seq[t],
+                                     c_prev_seq[t], scratch, dgates)
+            x_t = x.data[:, t, :]
+            # The previous step's h as the per-step cell held it: its own
+            # contiguous array, not a strided view of the stacked outputs.
+            h_prev = (np.ascontiguousarray(outputs_data[:, t - 1, :]) if t
+                      else h0.data)
+            if dx is not None:
+                dx[:, t, :] = dgates @ w_ih.data
+            if t or h0.requires_grad:
+                dh_carry = dgates @ w_hh.data
+            if w_ih.requires_grad:
+                dw_ih = _running_sum(dw_ih, x_t.T @ dgates)
+            if w_hh.requires_grad:
+                dw_hh = _running_sum(dw_hh, h_prev.T @ dgates)
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(dgates, bias.shape))
+        for weight, total in ((w_ih, dw_ih), (w_hh, dw_hh)):
+            if total is not None:
+                weight._accumulate(total.T)
+        if h0.requires_grad:
+            h0._accumulate(dh_carry)
+        if c0.requires_grad:
+            c0._accumulate(grad_c)
+        if dx is not None:
+            x._accumulate(dx)
+
+    h = x._make_child(hs[-1], parents, backward)
+
+    def backward_outputs(grad: np.ndarray) -> None:
+        ctx["outputs"] = _stashed(grad)
+        h._accumulate(grad[:, -1, :])
+
+    def backward_c(grad: np.ndarray) -> None:
+        ctx["c"] = _stashed(grad)
+        if h.grad is None:
+            # Only c is used: h's backward still has to run.
+            h._accumulate(np.zeros_like(h.data))
+
+    outputs = h._make_child(outputs_data, (h,), backward_outputs)
+    c = h._make_child(c_data, (h,), backward_c)
+    return outputs, h, c
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +423,8 @@ def gru_cell_fused(x: Tensor, h_prev: Tensor, w_ih: Tensor, w_hh: Tensor,
     gi = x.data @ w_ih.data.swapaxes(-1, -2) + b_ih.data
     gh = h_prev.data @ w_hh.data.swapaxes(-1, -2) + b_hh.data
     gh_n = gh[..., 2 * H:3 * H]
-    r = _sigmoid(gi[..., 0 * H:1 * H] + gh[..., 0 * H:1 * H])
-    z = _sigmoid(gi[..., 1 * H:2 * H] + gh[..., 1 * H:2 * H])
+    rz = _sigmoid(gi[..., :2 * H] + gh[..., :2 * H])
+    r, z = rz[..., :H], rz[..., H:]
     n = np.tanh(gi[..., 2 * H:3 * H] + r * gh_n)
     out_data = (1.0 - z) * n + z * h_prev.data
 

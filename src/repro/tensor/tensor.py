@@ -77,6 +77,26 @@ def _sum_data(data: np.ndarray,
     return data.sum(axis=axis, keepdims=keepdims)
 
 
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable logistic with one ``exp``, into ``out`` if given.
+
+    ``e = exp(-|clip(x, ±500)|)`` never overflows, and
+    ``where(x >= 0, 1, e) / (1 + e)`` is ``1 / (1 + e^-x)`` for ``x >= 0``
+    and ``e^x / (1 + e^x)`` below: to the bit, the two branches a
+    two-exp form evaluates.  ``|clip(x, ±500)|`` is ``min(|x|, 500)``, and
+    since ``e <= 1`` the numerator is ``max(e, x >= 0)``; both forms are
+    exact and save a pass each.
+    """
+    e = np.abs(x)
+    np.minimum(e, 500, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.maximum(e, x >= 0)
+    e += 1.0
+    return np.divide(numerator, e,
+                     out=numerator if out is None else out)
+
+
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -482,11 +502,7 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic.
-        data = np.where(self.data >= 0,
-                        1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500))),
-                        np.exp(np.clip(self.data, -500, 500))
-                        / (1.0 + np.exp(np.clip(self.data, -500, 500))))
+        data = _sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

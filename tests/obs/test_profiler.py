@@ -12,7 +12,7 @@ from repro.core import (RTGCN, TemporalConvolution, TrainConfig, Trainer,
                         combined_loss, l2_penalty)
 from repro.data import load_market
 from repro.graph import TimeSensitiveStrategy
-from repro.nn import CausalConv1d, CausalWeightNormConv1d
+from repro.nn import LSTM, CausalConv1d, CausalWeightNormConv1d
 from repro.obs import OpProfiler, active_profiler
 from repro.tensor import Tensor, fused_kernels, retain_heap
 
@@ -117,6 +117,23 @@ class TestRecording:
         assert prof.records[("weight_norm_fused", "forward")].count == 2
         assert not any(op in ("conv1d_fused", "transpose", "relu", "mul",
                               "add") for op, _ in prof.records)
+
+    def test_fused_lstm_layer_is_one_attributed_node(self):
+        """A whole LSTM sequence is one ``lstm_layer_fused`` row per layer;
+        no per-step cell or gate arithmetic is recorded."""
+        lstm = LSTM(3, 4, num_layers=2, rng=np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(0).normal(size=(5, 6, 3)),
+                   requires_grad=True)
+        with fused_kernels(True), OpProfiler() as prof:
+            _, (h, _) = lstm(x)
+            h.sum().backward()
+        assert prof.records[("lstm_layer_fused", "forward")].count == 2
+        # The top layer's node, then the bottom layer's outputs handle and
+        # its node.
+        assert prof.records[("lstm_layer_fused", "backward")].count == 3
+        assert not any(op in ("lstm_cell_fused", "sigmoid", "tanh", "mul",
+                              "add", "matmul", "getitem", "stack")
+                       for op, _ in prof.records)
 
     def test_fused_rank_loss_is_one_attributed_node(self):
         rng = np.random.default_rng(0)

@@ -32,6 +32,33 @@ class TestActivations:
         assert np.allclose(out.data, [1.0, 0.0])
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bitwise_matches_two_exp_form(self, dtype):
+        """The one-exp kernel against the two-branch, two-exp expression
+        it replaced, over normal samples at scales 0.1 to 1000 and the
+        edge values; NaN stays NaN (only its payload may differ)."""
+        def two_exp(x):
+            return np.where(x >= 0,
+                            1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
+                            np.exp(np.clip(x, -500, 500))
+                            / (1.0 + np.exp(np.clip(x, -500, 500))))
+
+        gen = np.random.default_rng(0)
+        edges = [0.0, -0.0, np.inf, -np.inf, 500.0, -500.0, 500.1, -500.1,
+                 1e-320, -1e-320, 709.0, -745.0, np.nan]
+        samples = [gen.standard_normal(200_000) * scale
+                   for scale in (0.1, 1.0, 10.0, 100.0, 1000.0)]
+        x = np.concatenate(samples + [np.array(edges)]).astype(dtype)
+        with np.errstate(all="ignore"):
+            expected = two_exp(x)
+            out = Tensor(x).sigmoid().data
+        assert out.dtype == expected.dtype == dtype
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        bits = np.uint64 if dtype == np.float64 else np.uint32
+        np.testing.assert_array_equal(out[~nan].view(bits),
+                                      expected[~nan].view(bits))
+
     def test_tanh_grad(self, rng):
         a = t(rng.standard_normal(8))
         gradcheck(lambda: a.tanh().sum(), [a])

@@ -12,18 +12,19 @@ Every fused kernel is gated twice, per the equivalence contract of
 import numpy as np
 import pytest
 
-from repro.baselines import LSTMScorer
+from repro.baselines import LSTMScorer, WSAELSTM
 from repro.core import (RTGCN, TemporalConvolution, TrainConfig, Trainer,
                         TrainerCallback, combined_loss, l2_penalty)
 from repro.data import load_market
 from repro.graph import RelationMatrix, TimeSensitiveStrategy
-from repro.nn import (CausalConv1d, CausalWeightNormConv1d, Conv1d, GRUCell,
-                      GraphConv, LSTMCell, Linear)
+from repro.nn import (GRU, LSTM, CausalConv1d, CausalWeightNormConv1d, Conv1d,
+                      GRUCell, GraphConv, LSTMCell, Linear)
 from repro.tensor import (Tensor, SparsePattern, SparseTensor,
                           affine_act_fused, arena, conv1d, conv1d_fused,
                           dtype_policy, fused_kernels, gcn_propagate_fused,
                           gradcheck, gru_cell_fused, l2_penalty_fused,
-                          lstm_cell_fused, no_grad, rank_loss_fused,
+                          lstm_cell_fused, lstm_layer_fused, no_grad,
+                          rank_loss_fused,
                           tape_node_count, temporal_block_fused,
                           time_adjacency_fused, weight_norm_fused)
 from repro.tensor.fused import _relation_scores, _relation_scores_vjp
@@ -172,6 +173,167 @@ class TestLSTMCellFused:
             _compare(policy, f_loss, c_loss, f_grads, c_grads)
 
 
+class TestLSTMLayerFused:
+    """``nn.LSTM`` with fusion on: one recurrence node per layer, plus the
+    ``outputs`` and ``c`` handles that hand their gradient to it, against
+    the composed per-step cells."""
+
+    B, T, D, H = 5, 6, 4, 3
+
+    def _case(self, num_layers, explicit_state, x_grad, dtype=np.float64):
+        gen = np.random.default_rng(3)
+        lstm = LSTM(self.D, self.H, num_layers=num_layers,
+                    rng=np.random.default_rng(0))
+        lstm.astype(np.dtype(dtype))
+
+        def array(shape):
+            return gen.standard_normal(shape).astype(dtype)
+
+        x = Tensor(array((self.B, self.T, self.D)), requires_grad=x_grad)
+        state = None
+        leaves = list(lstm.parameters()) + ([x] if x_grad else [])
+        if explicit_state:
+            state = (Tensor(array((self.B, self.H)), requires_grad=True),
+                     Tensor(array((self.B, self.H)), requires_grad=True))
+            if num_layers == 1:     # a stacked LSTM ignores the state
+                leaves += list(state)
+        weights = {"o": Tensor(array((self.B, self.T, self.H))),
+                   "h": Tensor(array((self.B, self.H))),
+                   "c": Tensor(array((self.B, self.H)))}
+
+        def loss(use):
+            outputs, (h, c) = lstm(x, state)
+            used = {"o": outputs, "h": h, "c": c}
+            total = None
+            for name in use:
+                term = (used[name] * weights[name]).sum()
+                total = term if total is None else total + term
+            return total + 1e-3 * l2_penalty(list(lstm.parameters()))
+
+        return lstm, x, state, loss, leaves
+
+    @pytest.mark.parametrize("use", ["o", "h", "c", "ohc"])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("explicit_state", [False, True])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_bitwise_matches_composed(self, num_layers, explicit_state,
+                                      x_grad, use):
+        """Loss and every gradient, through whichever outputs are used;
+        the L2 term reaches each weight after the per-step terms."""
+        _, _, _, loss, leaves = self._case(num_layers, explicit_state,
+                                           x_grad)
+        (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(
+            lambda: loss(use), leaves)
+        assert all(g is not None for g in f_grads)
+        _compare("float64", f_loss, c_loss, f_grads, c_grads)
+
+    @pytest.mark.parametrize("direct_first", [True, False])
+    def test_bitwise_with_direct_parameter_terms(self, direct_first):
+        """Terms on the parameters themselves (an L2 penalty, a product
+        with each parameter) add into the same place of every sum as on
+        the composed path, whether their backward runs before the
+        layer's or after it."""
+        lstm, _, _, loss, leaves = self._case(2, True, True)
+        params = list(lstm.parameters())
+        gen = np.random.default_rng(4)
+        scale = [Tensor(gen.standard_normal(p.shape)) for p in params]
+
+        def total():
+            direct = 1e-3 * l2_penalty(params)
+            for p, k in zip(params, scale):
+                direct = direct + (p * k).sum()
+            # The root's first operand runs its backward first.
+            return direct + loss("ohc") if direct_first \
+                else loss("ohc") + direct
+
+        (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(total,
+                                                               leaves)
+        _compare("float64", f_loss, c_loss, f_grads, c_grads)
+
+    @pytest.mark.parametrize("use", ["o", "ohc"])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_bitwise_with_buffer_arena(self, num_layers, use):
+        """The handles keep their gradient past their own backward, so it
+        must not be a buffer the arena hands out again."""
+        _, _, _, loss, leaves = self._case(num_layers, True, True)
+        with arena(True):
+            (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(
+                lambda: loss(use), leaves)
+        _compare("float64", f_loss, c_loss, f_grads, c_grads)
+
+    def test_eval_mode_matches_composed(self):
+        lstm, _, _, loss, leaves = self._case(2, False, True)
+        lstm.eval()
+        (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(
+            lambda: loss("ohc"), leaves)
+        _compare("float64", f_loss, c_loss, f_grads, c_grads)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_no_grad_matches_composed_and_records_nothing(self, num_layers):
+        lstm, x, state, _, _ = self._case(num_layers, True, True)
+        results = []
+        for enabled in (True, False):
+            with fused_kernels(enabled), no_grad():
+                before = tape_node_count()
+                outputs, (h, c) = lstm(x, state)
+                assert tape_node_count() == before
+            assert h._backward is None and not h.requires_grad
+            results.append([outputs.data, h.data, c.data])
+        _assert_bitwise_with_strides(*results)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_gradcheck(self, rng, policy):
+        with dtype_policy(policy):
+            H = 3
+            x = _t(rng, (2, 4, 3))
+            h0 = _t(rng, (2, H))
+            c0 = _t(rng, (2, H))
+            w_ih = _t(rng, (4 * H, 3), scale=0.5)
+            w_hh = _t(rng, (4 * H, H), scale=0.5)
+            b = _t(rng, (4 * H,))
+            proj = Tensor(rng.standard_normal((2, 4, H)))
+
+            def loss():
+                outputs, h, c = lstm_layer_fused(x, h0, c0, w_ih, w_hh, b,
+                                                 H)
+                return (outputs * proj).sum() + (h * h).sum() + c.sum()
+
+            gradcheck(loss, [x, h0, c0, w_ih, w_hh, b])
+
+    def test_gradcheck_only_c_used(self, rng):
+        """The recurrence node's backward must run when only ``c`` carries
+        a gradient."""
+        H = 3
+        x = _t(rng, (2, 3, 4))
+        h0 = _t(rng, (2, H))
+        c0 = _t(rng, (2, H))
+        w_ih = _t(rng, (4 * H, 4), scale=0.5)
+        w_hh = _t(rng, (4 * H, H), scale=0.5)
+        b = _t(rng, (4 * H,))
+        gradcheck(lambda: lstm_layer_fused(x, h0, c0, w_ih, w_hh, b, H)[2]
+                  .sum(), [x, h0, c0, w_ih, w_hh, b])
+
+    @pytest.mark.parametrize("policy", ["float32", "mixed"])
+    def test_matches_composed_within_tolerance(self, policy):
+        with dtype_policy(policy):
+            _, _, _, loss, leaves = self._case(2, False, True, np.float32)
+            (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(
+                lambda: loss("ohc"), leaves)
+            _compare(policy, f_loss, c_loss, f_grads, c_grads)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_three_tape_nodes_per_layer(self, num_layers):
+        lstm, x, state, _, _ = self._case(num_layers, False, True)
+        build = lambda: lstm(x)  # noqa: E731
+        assert _tape_nodes(build, True) == 3 * num_layers
+        assert _tape_nodes(build, False) > 20 * num_layers
+
+    def test_rejects_non_sequence_input(self):
+        lstm = LSTM(4, 3, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="B, T, D"):
+            lstm(Tensor(np.ones((2, 4))))
+
+
 class TestGRUCellFused:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_gradcheck(self, rng, policy):
@@ -205,6 +367,22 @@ class TestGRUCellFused:
             (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(loss,
                                                                    leaves)
             _compare(policy, f_loss, c_loss, f_grads, c_grads)
+
+    def test_sequence_bitwise_matches_composed(self, rng):
+        """One sigmoid over the r and z slab is elementwise the composed
+        cell's two per-gate sigmoids: float64 bits agree over a sequence,
+        input gradient included.  Only the final ``h`` is used, so each
+        step's ``h`` gradient is a two-term sum on both paths."""
+        gru = GRU(4, 3, rng=np.random.default_rng(0))
+        x = _t(rng, (5, 6, 4))
+        leaves = [x] + list(gru.parameters())
+
+        def loss():
+            _, h = gru(x)
+            return (h * h).sum()
+
+        (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(loss, leaves)
+        _compare("float64", f_loss, c_loss, f_grads, c_grads)
 
 
 class TestGCNPropagateFused:
@@ -728,7 +906,8 @@ class TestFig5TapeLength:
     and optimizer record none) at the Fig. 5 shape."""
 
     @pytest.mark.parametrize("name,bound", [("RT-GCN (T)", 20),
-                                            ("Rank_LSTM", 50)])
+                                            ("Rank_LSTM", 50),
+                                            ("Rank_LSTM", 10)])
     def test_step_tape_within_bound(self, name, bound):
         dataset = load_market("nasdaq-mini", seed=0)
         if name == "Rank_LSTM":
@@ -893,6 +1072,21 @@ class TestFusedFitParity:
             Trainer(model, dataset, config).fit(callbacks=[log])
             per_path.append(log.losses)
         assert len(per_path[0]) == 20
+        assert per_path[0] == per_path[1]
+
+    def test_wsae_lstm_fit_losses_bitwise(self):
+        """WSAE-LSTM's LSTM input comes from its autoencoder, so the fused
+        layer node's input gradient trains the encoder."""
+        dataset = load_market("nasdaq-mini", seed=0)
+        per_path = []
+        for enabled in (True, False):
+            model = WSAELSTM(rng=np.random.default_rng(1))
+            config = TrainConfig(window=20, epochs=1, max_train_days=8,
+                                 seed=1, fused_kernels=enabled)
+            log = _LossLog()
+            Trainer(model, dataset, config).fit(callbacks=[log])
+            per_path.append(log.losses)
+        assert len(per_path[0]) == 8
         assert per_path[0] == per_path[1]
 
 

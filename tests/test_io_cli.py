@@ -443,6 +443,6 @@ class TestProfileCommand:
         assert len(report.epoch_losses) == 1      # --epochs 1
         ops_seen = {row["op"] for row in report.ops}
         # the LSTM core shows up either as raw matmuls or, with fusion
-        # on (the default), as the fused cell/affine tape nodes
+        # on (the default), as the fused layer/affine tape nodes
         assert ops_seen & {"matmul", "einsum",
-                           "lstm_cell_fused", "affine_act_fused"}
+                           "lstm_layer_fused", "affine_act_fused"}
