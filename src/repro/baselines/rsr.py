@@ -69,7 +69,7 @@ class RSR(Module):
         self.scorer = Linear(2 * hidden_size, 1, rng=gen)
         self._mask = relations.binary_adjacency()
         self._neg_inf = np.where(self._mask > 0, 0.0, -1e9)
-        self._relation_tensor = Tensor(relations.tensor)
+        self._relation_tensor = Tensor(relations.dense())
         self._isolated = self._mask.sum(axis=1) == 0
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ Implementation
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,10 @@ def hyperedges_from_relations(relations: RelationMatrix) -> np.ndarray:
     A stock belongs to hyperedge ``k`` when it carries at least one type-k
     relation; types linking fewer than two stocks are dropped.
     """
-    membership = (relations.tensor.sum(axis=1) > 0)      # (N, K)
+    membership = np.zeros((relations.num_stocks, relations.num_types),
+                          dtype=bool)
+    i, j, k = relations.triples.T
+    membership[i, k] = membership[j, k] = True
     keep = membership.sum(axis=0) >= 2
     incidence = membership[:, keep].astype(np.float64)
     if incidence.shape[1] == 0:

@@ -780,8 +780,16 @@ def cmd_db(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ExactFlagParser(argparse.ArgumentParser):
+    """No flag prefixes (``--mod`` must not mean ``--model``); subparsers
+    inherit the class, so this holds for every command."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ExactFlagParser(
         prog="repro", description="RT-GCN reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,10 +11,10 @@ from .relation_builder import (DirectedInfluence, WikiRelationSet,
                                wiki_type_pool)
 from .simulator import (CrashEvent, SimulatedMarket, SimulationConfig,
                         simulate_market)
-from .stream import (SCENARIOS, DayEvents, EdgeEvent, HypergraphRelations,
-                     ListingEvent, RegimePhase, StreamScenario,
-                     StreamingMarket, flash_crash, get_scenario,
-                     low_vol_grind, sector_rotation)
+from .stream import (SCENARIOS, DayEvents, EdgeEvent, ListingEvent,
+                     RegimePhase, StreamScenario, StreamingMarket,
+                     flash_crash, get_scenario, low_vol_grind,
+                     sector_rotation)
 from .universe import (Stock, StockUniverse, allocate_group_sizes,
                        generate_universe, industry_name_pool,
                        pair_ratio_of_sizes)
@@ -30,7 +30,7 @@ __all__ = [
     "CrashEvent", "SimulationConfig", "SimulatedMarket", "simulate_market",
     "StreamScenario", "SCENARIOS", "get_scenario", "StreamingMarket",
     "DayEvents", "EdgeEvent", "ListingEvent", "RegimePhase",
-    "HypergraphRelations", "flash_crash", "sector_rotation",
+    "flash_crash", "sector_rotation",
     "low_vol_grind",
     "Stock", "StockUniverse", "generate_universe", "allocate_group_sizes",
     "industry_name_pool", "pair_ratio_of_sizes",

@@ -58,16 +58,14 @@ def build_industry_relations(universe: StockUniverse) -> RelationMatrix:
     """
     industries = universe.industries()
     type_names = [f"industry:{name}" for name in industries]
-    n = len(universe)
-    tensor = np.zeros((n, n, len(type_names)))
-    for k, (_, members) in enumerate(industries.items()):
-        members = np.asarray(members)
-        if len(members) < 2:
-            continue
-        grid_i, grid_j = np.meshgrid(members, members, indexing="ij")
-        tensor[grid_i, grid_j, k] = 1.0
-        tensor[members, members, k] = 0.0
-    return RelationMatrix(tensor, type_names)
+    triples = []
+    for k, members in enumerate(industries.values()):
+        members = np.asarray(members, dtype=np.int64)
+        first, second = np.triu_indices(len(members), k=1)
+        triples.append(np.column_stack([members[first], members[second],
+                                        np.full(len(first), k)]))
+    return RelationMatrix(len(universe), type_names,
+                          np.concatenate(triples) if triples else ())
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ def build_wiki_relations(universe: StockUniverse, num_types: int,
     type_weights = (np.arange(1, num_types + 1, dtype=np.float64)) ** -1.1
     type_weights /= type_weights.sum()
 
-    tensor = np.zeros((n, n, num_types))
+    triples: List[Tuple[int, int, int]] = []
     influences: List[DirectedInfluence] = []
     seen = set()
     attempts = 0
@@ -130,23 +128,21 @@ def build_wiki_relations(universe: StockUniverse, num_types: int,
         fact_count = 1 + int(gen.uniform() < 0.15)
         types = gen.choice(num_types, size=fact_count, replace=False,
                            p=type_weights)
-        for k in types:
-            tensor[i, j, k] = 1.0
-            tensor[j, i, k] = 1.0
+        triples.extend((i, j, k) for k in types)
         lo, hi = influence_range
         influences.append(DirectedInfluence(
             source=int(i), target=int(j),
             strength=float(gen.uniform(lo, hi))))
     # Guarantee every type occurs at least once so the reported type count
     # matches Table III even for small universes.
+    used = {int(k) for _, _, k in triples}
     for k in range(num_types):
-        if tensor[:, :, k].sum() > 0:
+        if k in used:
             continue
         if not seen:
             break
         i, j = next(iter(seen))
-        tensor[i, j, k] = 1.0
-        tensor[j, i, k] = 1.0
-    matrix = RelationMatrix(tensor, type_names)
+        triples.append((i, j, k))
+    matrix = RelationMatrix(n, type_names, triples)
     return WikiRelationSet(matrix=matrix, influences=influences)
 

@@ -28,13 +28,6 @@ Scenarios are declarative (:class:`StreamScenario`), content-fingerprinted
 (sha256 over the canonical dict, seed included) so replays dedup in the
 experiment store, and replayable: two :class:`StreamingMarket` instances
 built from equal scenarios produce identical event streams.
-
-The optional **hypergraph relation mode** (:class:`HypergraphRelations`)
-stores each industry as one hyperedge in an N×H incidence matrix — O(N)
-memberships instead of the O(N²) pairwise clique the dense relation tensor
-pays for big industries (cf. the hypergraph tri-attention line of work,
-arXiv:2107.14033).  ``clique_adjacency()`` expands it back for
-equivalence tests.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .relation_builder import wiki_type_pool
-from .universe import StockUniverse, generate_universe
+from .universe import generate_universe
 
 #: weight below which a decaying edge is dropped entirely
 MIN_EDGE_WEIGHT = 0.05
@@ -171,7 +164,6 @@ class StreamScenario:
     decay_half_life: float = 12.0  # days until a streamed edge halves
     mna_rate: float = 0.05         # P(M&A event) per day
     listing_rate: float = 0.08     # P(delist) and P(relist) per day
-    hypergraph: bool = False
     regimes: Tuple[RegimePhase, ...] = ()
 
     def __post_init__(self):
@@ -198,7 +190,6 @@ class StreamScenario:
             "edge_remove_rate": self.edge_remove_rate,
             "decay_half_life": self.decay_half_life,
             "mna_rate": self.mna_rate, "listing_rate": self.listing_rate,
-            "hypergraph": self.hypergraph,
             "regimes": [{"name": p.name, "start": p.start, "days": p.days,
                          "drift": p.drift,
                          "vol_multiplier": p.vol_multiplier,
@@ -275,9 +266,6 @@ class StreamingMarket:
              for s in self.universe.stocks])
         self._relation_pool = wiki_type_pool(8)
         self._base = self._sample_base_edges(event_rng)
-        self.hypergraph: Optional[HypergraphRelations] = (
-            HypergraphRelations(self.universe) if scenario.hypergraph
-            else None)
         self.events: List[DayEvents] = []
         self.returns = np.zeros((n, scenario.num_days))
         self._generate(event_rng, return_rng)
@@ -484,56 +472,8 @@ class StreamingMarket:
         }
 
 
-# ---------------------------------------------------------------------------
-# hypergraph relation mode
-# ---------------------------------------------------------------------------
-class HypergraphRelations:
-    """Industries as hyperedges: O(N) incidence instead of O(N²) cliques.
-
-    The dense relation tensor spends ``s·(s-1)`` entries on an industry of
-    size ``s``; the incidence representation spends ``s``.  For the big
-    Zipf-head industries that dominate real universes this is the
-    asymptotic win the hypergraph literature points at — a storage and
-    propagation-cost change, not just a kernel optimization.
-    """
-
-    def __init__(self, universe: StockUniverse):
-        self.hyperedges = list(universe.industries())
-        n = len(universe)
-        h = len(self.hyperedges)
-        self.incidence = np.zeros((n, h))
-        for k, members in enumerate(universe.industries().values()):
-            self.incidence[np.asarray(members), k] = 1.0
-
-    @property
-    def num_nodes(self) -> int:
-        return self.incidence.shape[0]
-
-    @property
-    def num_hyperedges(self) -> int:
-        return self.incidence.shape[1]
-
-    def clique_adjacency(self) -> np.ndarray:
-        """Expand hyperedges to the pairwise clique adjacency (equivalence
-        oracle for tests — the thing we *avoid* storing)."""
-        adj = self.incidence @ self.incidence.T
-        np.fill_diagonal(adj, 0.0)
-        return adj
-
-    def stats(self) -> dict:
-        clique_nnz = int(np.count_nonzero(self.clique_adjacency()))
-        incidence_nnz = int(np.count_nonzero(self.incidence))
-        return {"num_nodes": self.num_nodes,
-                "num_hyperedges": self.num_hyperedges,
-                "incidence_nnz": incidence_nnz,
-                "clique_nnz": clique_nnz,
-                "compression": (clique_nnz / incidence_nnz
-                                if incidence_nnz else float("nan"))}
-
-
 __all__ = [
     "MIN_EDGE_WEIGHT", "RegimePhase", "flash_crash", "sector_rotation",
     "low_vol_grind", "EdgeEvent", "ListingEvent", "DayEvents",
     "StreamScenario", "SCENARIOS", "get_scenario", "StreamingMarket",
-    "HypergraphRelations",
 ]

@@ -126,7 +126,7 @@ def run_case_study(dataset: StockDataset, model: Optional[RTGCN] = None,
     wiki_types = [i for i, name in enumerate(sub_rel.type_names)
                   if name.startswith("wiki:")]
     if wiki_types:
-        wiki_adj = (sub_rel.tensor[:, :, wiki_types].sum(axis=2) > 0)
+        wiki_adj = sub_rel.select_types(wiki_types).binary_adjacency() > 0
         kinds[wiki_adj] = 2.0
 
     universe = dataset.universe

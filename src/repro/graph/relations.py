@@ -2,113 +2,124 @@
 
 The paper encodes the pairwise relations between two stocks as a multi-hot
 binary vector over ``K`` relation types, giving a tensor
-``A ∈ {0,1}^{N×N×K}``.  :class:`RelationMatrix` wraps that tensor together
-with the relation-type names and provides the statistics reported in
-Table III (relation ratio, type counts) plus slicing by relation source
-(wiki vs industry) used in the Table VI ablation.
+``A ∈ {0,1}^{N×N×K}``.  It is almost all zeros (NASDAQ-854: 20,672 typed
+pairs), so :class:`RelationMatrix` stores its ``(i, j, type)`` triples and
+derives the Table III statistics, Eq. (3)'s binary adjacency, slicing by
+relation source (Table VI) and, for dense arithmetic only, the tensor.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-@dataclass
 class RelationMatrix:
-    """A multi-hot relation tensor with named relation types.
+    """Typed, undirected stock relations as a canonical triple list.
 
     Attributes
     ----------
-    tensor:
-        Array of shape ``(N, N, K)``; ``tensor[i, j, k] == 1`` when stocks
-        ``i`` and ``j`` are linked by relation type ``k``.  Relations are
-        undirected in the paper, so the tensor is kept symmetric in its
-        first two axes; the diagonal carries no self-relations.
+    num_stocks:
+        ``N``, the number of stocks the relations range over.
     type_names:
         Length-``K`` list naming each relation type (e.g.
         ``"industry:biotechnology"`` or ``"wiki:supplier_of"``).
+    triples:
+        Read-only ``(M, 3)`` int64 array of ``(i, j, type)`` rows with
+        ``i < j``, sorted and unique: stocks ``i`` and ``j`` are linked by
+        relation ``type``.  Relations are undirected, so each pair is
+        stored once and the relation is symmetric by construction.  Input
+        rows may come in any order, either endpoint first, repeated.
     """
 
-    tensor: np.ndarray
-    type_names: List[str] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, num_stocks: int, type_names: Sequence[str],
+                 triples=()):
+        self.num_stocks = int(num_stocks)
+        self.type_names = list(type_names)
+        if self.num_stocks < 0:
+            raise ValueError(f"num_stocks must be >= 0, got {num_stocks}")
+        triples = np.asarray(triples, dtype=np.int64)
+        if triples.size == 0:
+            triples = triples.reshape(0, 3)
+        if triples.ndim != 2 or triples.shape[1] != 3:
+            raise ValueError(f"relation triples must be (M, 3) rows of "
+                             f"(i, j, type), got shape {triples.shape}")
+        pairs, types = triples[:, :2], triples[:, 2]
+        if np.any((pairs < 0) | (pairs >= self.num_stocks)):
+            raise ValueError(f"stock index out of range for "
+                             f"{self.num_stocks} stocks")
+        if np.any((types < 0) | (types >= self.num_types)):
+            raise ValueError(f"relation type index out of range for "
+                             f"{self.num_types} types")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError("self-relations are not allowed")
+        canonical = np.column_stack([pairs.min(axis=1), pairs.max(axis=1),
+                                     types])
+        self.triples = np.unique(canonical, axis=0)
+        self.triples.flags.writeable = False
         self._cache_token: Optional[Tuple[int, int, int, int]] = None
-        self.tensor = np.asarray(self.tensor, dtype=np.float64)
-        if self.tensor.ndim != 3:
-            raise ValueError(f"relation tensor must be (N, N, K), got shape "
-                             f"{self.tensor.shape}")
-        n, m, k = self.tensor.shape
-        if n != m:
-            raise ValueError(f"relation tensor must be square in its first "
-                             f"two axes, got {self.tensor.shape}")
-        if not self.type_names:
-            self.type_names = [f"relation_{i}" for i in range(k)]
-        if len(self.type_names) != k:
-            raise ValueError(f"{len(self.type_names)} names for {k} types")
-        if not np.allclose(self.tensor, self.tensor.transpose(1, 0, 2)):
-            raise ValueError("relation tensor must be symmetric (undirected)")
-        diag = self.tensor[np.arange(n), np.arange(n), :]
-        if np.any(diag != 0):
-            raise ValueError("self-relations on the diagonal are not allowed")
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def empty(cls, num_stocks: int,
-              type_names: Sequence[str]) -> "RelationMatrix":
-        return cls(np.zeros((num_stocks, num_stocks, len(type_names))),
-                   list(type_names))
-
-    @classmethod
-    def from_edges(cls, num_stocks: int, type_names: Sequence[str],
-                   edges: Iterable[Tuple[int, int, int]]) -> "RelationMatrix":
-        """Build from ``(i, j, type_index)`` triples (symmetrized)."""
-        tensor = np.zeros((num_stocks, num_stocks, len(type_names)))
-        for i, j, k in edges:
-            if i == j:
-                raise ValueError(f"self-relation for stock {i}")
-            tensor[i, j, k] = 1.0
-            tensor[j, i, k] = 1.0
-        return cls(tensor, list(type_names))
 
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------
     @property
-    def num_stocks(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
     def num_types(self) -> int:
-        return self.tensor.shape[2]
+        return len(self.type_names)
+
+    def linked_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The linked unordered pairs and where their triples sit.
+
+        Returns ``(pairs, starts, counts)``: ``pairs`` is ``(P, 2)`` with
+        ``i < j`` in sorted order, and pair ``p``'s relation types are
+        ``triples[starts[p]:starts[p] + counts[p], 2]``.
+        """
+        head = np.ones(len(self.triples), dtype=bool)
+        head[1:] = np.any(self.triples[1:, :2] != self.triples[:-1, :2],
+                          axis=1)
+        starts = np.flatnonzero(head)
+        counts = np.diff(np.append(starts, len(self.triples)))
+        return self.triples[starts, :2], starts, counts
 
     def pair_vector(self, i: int, j: int) -> np.ndarray:
         """The multi-hot relation vector ``a_ij ∈ {0,1}^K``."""
-        return self.tensor[i, j].copy()
+        lo, hi = min(i, j), max(i, j)
+        match = (self.triples[:, 0] == lo) & (self.triples[:, 1] == hi)
+        vector = np.zeros(self.num_types)
+        vector[self.triples[match, 2]] = 1.0
+        return vector
+
+    def type_counts(self) -> np.ndarray:
+        """``(N, N)`` number of relation types per pair (``𝓐.sum(-1)``)."""
+        counts = np.zeros((self.num_stocks, self.num_stocks))
+        np.add.at(counts, (self.triples[:, 0], self.triples[:, 1]), 1.0)
+        return counts + counts.T
 
     def binary_adjacency(self) -> np.ndarray:
         """Paper Eq. (3): ``A_ij = 1`` iff ``sum(a_ij) > 0`` (no diagonal)."""
-        return (self.tensor.sum(axis=2) > 0).astype(np.float64)
+        return (self.type_counts() > 0).astype(np.float64)
+
+    def dense(self) -> np.ndarray:
+        """``𝓐`` as a new float64 ``(N, N, K)`` array (not kept)."""
+        tensor = np.zeros((self.num_stocks, self.num_stocks, self.num_types))
+        i, j, k = self.triples.T
+        tensor[i, j, k] = 1.0
+        tensor[j, i, k] = 1.0
+        return tensor
 
     def cache_token(self) -> Tuple[int, int, int, int]:
         """Content fingerprint identifying this relation set in caches.
 
-        A shape + CRC32 digest of the tensor bytes rather than ``id()``:
-        object identity can be recycled after garbage collection, which
-        would silently serve a stale normalized adjacency.  Computed once
-        (the tensor is treated as immutable after construction, as the
-        rest of the stack already assumes).
+        A shape + CRC32 digest of the triples rather than ``id()``: object
+        identity can be recycled after garbage collection, which would
+        silently serve a stale normalized adjacency.  The triples are
+        read-only, so the token is computed once.
         """
         if self._cache_token is None:
-            digest = zlib.crc32(np.ascontiguousarray(self.tensor).tobytes())
             self._cache_token = (self.num_stocks, self.num_types,
-                                 int(self.tensor.sum()), digest)
+                                 len(self.triples),
+                                 zlib.crc32(self.triples.tobytes()))
         return self._cache_token
 
     def relation_ratio(self) -> float:
@@ -119,18 +130,17 @@ class RelationMatrix:
         n = self.num_stocks
         if n < 2:
             return 0.0
-        adjacency = self.binary_adjacency()
-        linked_pairs = np.triu(adjacency, k=1).sum()
-        total_pairs = n * (n - 1) / 2
-        return float(linked_pairs / total_pairs)
+        return float(self.edge_count() / (n * (n - 1) / 2))
 
     def edge_count(self) -> int:
         """Number of linked unordered pairs."""
-        return int(np.triu(self.binary_adjacency(), k=1).sum())
+        return len(self.linked_pairs()[0])
 
     def degree(self) -> np.ndarray:
         """Per-stock neighbor count under the binary adjacency."""
-        return self.binary_adjacency().sum(axis=1)
+        pairs = self.linked_pairs()[0]
+        return np.bincount(pairs.ravel(),
+                           minlength=self.num_stocks).astype(np.float64)
 
     # ------------------------------------------------------------------
     # combination and slicing
@@ -138,8 +148,15 @@ class RelationMatrix:
     def select_types(self, indices: Sequence[int]) -> "RelationMatrix":
         """Restrict to a subset of relation types (e.g. industry-only)."""
         indices = list(indices)
-        return RelationMatrix(self.tensor[:, :, indices].copy(),
-                              [self.type_names[i] for i in indices])
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"repeated relation type in {indices}")
+        new_index = np.full(self.num_types, -1, dtype=np.int64)
+        new_index[indices] = np.arange(len(indices))
+        mapped = new_index[self.triples[:, 2]]
+        keep = mapped >= 0
+        triples = np.column_stack([self.triples[keep, :2], mapped[keep]])
+        return RelationMatrix(self.num_stocks,
+                              [self.type_names[i] for i in indices], triples)
 
     def select_prefix(self, prefix: str) -> "RelationMatrix":
         """Restrict to types whose name starts with ``prefix`` (e.g. "wiki:")."""
@@ -159,18 +176,31 @@ class RelationMatrix:
         overlap = set(self.type_names) & set(other.type_names)
         if overlap:
             raise ValueError(f"duplicate relation types: {sorted(overlap)}")
-        tensor = np.concatenate([self.tensor, other.tensor], axis=2)
-        return RelationMatrix(tensor, self.type_names + other.type_names)
+        shifted = other.triples + np.array([0, 0, self.num_types])
+        return RelationMatrix(self.num_stocks,
+                              self.type_names + other.type_names,
+                              np.concatenate([self.triples, shifted]))
 
     def subgraph(self, stock_indices: Sequence[int]) -> "RelationMatrix":
-        """Restrict to a subset of stocks (used by the Figure 8 case study)."""
-        idx = np.asarray(list(stock_indices))
-        return RelationMatrix(self.tensor[np.ix_(idx, idx)].copy(),
-                              list(self.type_names))
+        """Restrict to a subset of stocks, renumbered in the given order
+        (used by the Figure 8 case study)."""
+        idx = np.asarray(list(stock_indices), dtype=np.int64)
+        if np.any((idx < 0) | (idx >= self.num_stocks)):
+            raise ValueError(f"stock index out of range for "
+                             f"{self.num_stocks} stocks")
+        if len(np.unique(idx)) != len(idx):
+            raise ValueError("subgraph stock indices must be distinct")
+        position = np.full(self.num_stocks, -1, dtype=np.int64)
+        position[idx] = np.arange(len(idx))
+        i, j = position[self.triples[:, 0]], position[self.triples[:, 1]]
+        keep = (i >= 0) & (j >= 0)
+        return RelationMatrix(len(idx), self.type_names,
+                              np.column_stack([i[keep], j[keep],
+                                               self.triples[keep, 2]]))
 
     def type_usage(self) -> Dict[str, int]:
         """Number of linked pairs carrying each relation type."""
-        counts = np.triu(self.tensor.transpose(2, 0, 1), k=1).sum(axis=(1, 2))
+        counts = np.bincount(self.triples[:, 2], minlength=self.num_types)
         return {name: int(c) for name, c in zip(self.type_names, counts)}
 
     def __repr__(self) -> str:

@@ -108,10 +108,9 @@ class RelationTemporalGraph:
         """One time-slice G_R as a networkx graph (nodes are stock indices)."""
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_stocks))
-        rows, cols = np.nonzero(np.triu(self._adjacency, k=1))
-        for i, j in zip(rows, cols):
-            types = [self.relations.type_names[k]
-                     for k in np.nonzero(self.relations.tensor[i, j])[0]]
+        names, triples = self.relations.type_names, self.relations.triples
+        for (i, j), start, count in zip(*self.relations.linked_pairs()):
+            types = [names[k] for k in triples[start:start + count, 2]]
             graph.add_edge(int(i), int(j), relations=types)
         return graph
 

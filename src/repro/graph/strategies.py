@@ -25,9 +25,9 @@ Implementation notes
   edges (plus self-loops), returning a
   :class:`~repro.tensor.sparse.SparseTensor` that :class:`GraphConv`
   propagates via ``spmm``.  ``auto`` dispatches on graph density (see
-  ``docs/performance.md``).  The two paths are numerically identical
-  entry-by-entry: sparse degrees sum the same |values| + eps, and every
-  off-pattern dense entry is exactly zero.
+  ``docs/performance.md``).  The two paths agree entry-by-entry up to
+  the order a pair's relation weights are summed in: sparse degrees sum
+  the same |values| + eps, and every off-pattern dense entry is zero.
 - Static products — the uniform strategy's normalized adjacency and the
   learnable strategies' CSR edge structures — are computed once per
   distinct graph through :func:`repro.graph.cache.adjacency_cache`
@@ -36,7 +36,7 @@ Implementation notes
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from ..nn.random import get_rng
 from ..tensor import Tensor, concat, default_dtype, einsum, ensure_tensor
 from ..tensor.fused import fused_enabled, time_adjacency_fused
 from ..tensor.sparse import (SparsePattern, SparseTensor, resolve_graph_mode,
-                             sddmm)
+                             sddmm, sparse_segment_sum)
 from .adjacency import (normalize_adjacency, normalize_sparse_adjacency,
                         normalize_weighted_adjacency)
 from .cache import adjacency_cache
@@ -58,31 +58,51 @@ class _SparseStructure(NamedTuple):
 
     ``full`` is the pattern of ``mask ∪ diagonal`` (what the normalized
     adjacency is stored on); ``off`` is the pattern of the mask alone
-    (where learned edge values live); ``edge_relations`` holds the
-    multi-hot relation vector of every off-diagonal edge, ``(nnz_off, K)``;
-    ``order`` permutes ``concat([off_values, diag_values])`` into
-    ``full``'s row-major CSR order.
+    (where learned edge values live); ``edge_types`` is ``(nnz_off, K)``,
+    row ``e`` holding edge ``e``'s relation types (what Eq. 4 gathers
+    ``w`` over); ``order`` permutes ``concat([off_values, diag_values])``
+    into ``full``'s row-major CSR order.
     """
 
     full: SparsePattern
     off: SparsePattern
-    edge_relations: np.ndarray
+    edge_types: SparsePattern
     order: np.ndarray
 
 
-def _sparse_structure(relations: RelationMatrix,
-                      mask: np.ndarray) -> _SparseStructure:
-    n = mask.shape[0]
-    off = SparsePattern.from_mask(mask)
-    full = SparsePattern.from_mask((mask != 0) | np.eye(n, dtype=bool))
-    diagonal = full.rows == full.indices
-    # Off-diagonal entries of `full` appear in the same row-major order as
-    # `off` (the mask has no diagonal), so concat([off, diag]) reindexes
-    # into full CSR order with one permutation.
-    off_position = np.cumsum(~diagonal) - 1
-    order = np.where(diagonal, off.nnz + full.rows, off_position)
-    edge_relations = relations.tensor[off.rows, off.indices]
-    return _SparseStructure(full, off, edge_relations, order)
+def _csr(rows: np.ndarray, cols: np.ndarray,
+         shape: Tuple[int, int]) -> SparsePattern:
+    """Pattern of row-major sorted ``(rows, cols)`` entries."""
+    counts = np.bincount(rows, minlength=shape[0])
+    return SparsePattern(np.concatenate([[0], np.cumsum(counts)]), cols,
+                         shape)
+
+
+def _sparse_structure(relations: RelationMatrix) -> _SparseStructure:
+    n = relations.num_stocks
+    pairs, starts, counts = relations.linked_pairs()
+    # Both directions of every linked pair, in row-major order.
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    sort = np.lexsort((cols, rows))
+    rows, cols = rows[sort], cols[sort]
+    edge_pair = np.tile(np.arange(len(pairs)), 2)[sort]
+    off = _csr(rows, cols, (n, n))
+    # Appending the loops after the off edges makes the sort permutation
+    # exactly the reindexing of concat([off_values, diag_values]).
+    loops = np.arange(n)
+    all_rows = np.concatenate([rows, loops])
+    all_cols = np.concatenate([cols, loops])
+    order = np.lexsort((all_cols, all_rows))
+    full = _csr(all_rows[order], all_cols[order], (n, n))
+    # Edge e's relation types are its pair's run of triples.
+    per_edge = counts[edge_pair]
+    type_ptr = np.concatenate([[0], np.cumsum(per_edge)])
+    triple = (np.repeat(starts[edge_pair] - type_ptr[:-1], per_edge)
+              + np.arange(type_ptr[-1]))
+    edge_types = SparsePattern(type_ptr, relations.triples[triple, 2],
+                               (off.nnz, relations.num_types))
+    return _SparseStructure(full, off, edge_types, order)
 
 
 class RelationStrategy(Module):
@@ -95,12 +115,12 @@ class RelationStrategy(Module):
                  density_threshold: Optional[float] = None):
         super().__init__()
         self.relations = relations
-        self._mask = relations.binary_adjacency()
         self.graph_mode = graph_mode
         self.density_threshold = density_threshold
         n = relations.num_stocks
         # Dispatch density counts the self-loops the propagation adds.
-        self.density = ((self._mask != 0).sum() + n) / (n * n) if n else 1.0
+        self.density = ((2 * relations.edge_count() + n) / (n * n)
+                        if n else 1.0)
         resolve_graph_mode(graph_mode, self.density, density_threshold)
 
     @property
@@ -116,7 +136,7 @@ class RelationStrategy(Module):
         """This graph's CSR structure, computed once per distinct graph."""
         key = ("structure", self.relations.cache_token())
         return adjacency_cache().get_or_compute(
-            key, lambda: _sparse_structure(self.relations, self._mask))
+            key, lambda: _sparse_structure(self.relations))
 
     def forward(self, features: Optional[Tensor] = None) -> Tensor:
         raise NotImplementedError
@@ -148,7 +168,8 @@ class UniformStrategy(RelationStrategy):
                "dense", default_dtype().str)
         return adjacency_cache().get_or_compute(
             key, lambda: Tensor(normalize_adjacency(
-                self._mask, add_loops=self.renormalize)))
+                self.relations.binary_adjacency(),
+                add_loops=self.renormalize)))
 
     def _sparse_normalized(self) -> SparseTensor:
         key = ("uniform", self.relations.cache_token(), self.renormalize,
@@ -176,18 +197,34 @@ class WeightStrategy(RelationStrategy):
         self.weight = Parameter(np.empty(relations.num_types))
         init.uniform_(self.weight, 0.5, 1.5, rng=gen)
         self.bias = Parameter(np.zeros(1))
-        self._relation_tensor = Tensor(relations.tensor)
-        self._mask_tensor = Tensor(self._mask)
+        self._relation_tensor: Optional[Tensor] = None
+        self._mask_tensor: Optional[Tensor] = None
+
+    def _dense_operands(self) -> Tuple[Tensor, Tensor]:
+        """The dense ``𝓐`` and its mask, built on the first dense forward
+        (``TrainConfig.graph_mode`` may force the mode after construction)
+        in the weight's dtype; ``Module.astype`` casts them from then on."""
+        if self._relation_tensor is None:
+            dtype = self.weight.data.dtype
+            self._relation_tensor = Tensor(self.relations.dense(),
+                                           dtype=dtype)
+            self._mask_tensor = Tensor(self.relations.binary_adjacency(),
+                                       dtype=dtype)
+        return self._relation_tensor, self._mask_tensor
 
     def raw_adjacency(self) -> Tensor:
-        """Un-normalized weighted adjacency (used by tests/case study)."""
-        scores = einsum("ijk,k->ij", self._relation_tensor, self.weight)
-        return (scores + self.bias) * self._mask_tensor
+        """Un-normalized Eq. (4) ``(𝓐w + b)⊙M`` (tests, case study, and
+        Eq. 5's composed path)."""
+        relation, mask = self._dense_operands()
+        scores = einsum("ijk,k->ij", relation, self.weight)
+        return (scores + self.bias) * mask
 
     def _edge_values(self, structure: _SparseStructure) -> Tensor:
-        """Eq. (4) evaluated only on the stored edges: ``(nnz_off,)``."""
-        scores = (Tensor(structure.edge_relations) * self.weight).sum(axis=-1)
-        return scores + self.bias
+        """Eq. (4) on the stored edges, ``(nnz_off,)``: each edge sums
+        the gathered ``w`` of its relation types, plus ``b``."""
+        types = structure.edge_types
+        return sparse_segment_sum(self.weight[types.indices],
+                                  types) + self.bias
 
     def forward(self, features: Optional[Tensor] = None) -> Tensor:
         if self.resolved_mode() != "sparse":
@@ -200,40 +237,16 @@ class WeightStrategy(RelationStrategy):
             SparseTensor(structure.full, values))
 
 
-class TimeSensitiveStrategy(RelationStrategy):
+class TimeSensitiveStrategy(WeightStrategy):
     """Eq. (5): feature correlation × relation importance, per time-step.
 
     ``forward(features)`` expects ``features`` of shape ``(T, N, D)`` and
     returns a ``(T, N, N)`` stack of normalized adjacencies, one per
-    relational graph in G_RT.  Every emission supersedes the previous
-    per-step stack: the old cache entry is explicitly invalidated before
-    the new one is recorded, so downstream consumers can never observe a
-    stale adjacency for this (strategy, relation-set, time-window) key.
+    relational graph in G_RT.  The relation importance is Eq. (4)'s, with
+    the same parameters as :class:`WeightStrategy`.
     """
 
     time_varying = True
-
-    def __init__(self, relations: RelationMatrix,
-                 rng: Optional[np.random.Generator] = None,
-                 graph_mode: str = "auto",
-                 density_threshold: Optional[float] = None):
-        super().__init__(relations, graph_mode=graph_mode,
-                         density_threshold=density_threshold)
-        gen = rng if rng is not None else get_rng()
-        self.weight = Parameter(np.empty(relations.num_types))
-        init.uniform_(self.weight, 0.5, 1.5, rng=gen)
-        self.bias = Parameter(np.zeros(1))
-        self._relation_tensor = Tensor(relations.tensor)
-        self._mask_tensor = Tensor(self._mask)
-
-    def relation_importance(self) -> Tensor:
-        """The Eq. (4) term ``𝓐_ijᵀ w + b`` masked to related pairs."""
-        scores = einsum("ijk,k->ij", self._relation_tensor, self.weight)
-        return (scores + self.bias) * self._mask_tensor
-
-    def step_key(self, window: int) -> tuple:
-        """Cache key of the latest emitted per-step adjacency stack."""
-        return ("time-step", self.relations.cache_token(), window)
 
     def _check_features(self, features: Tensor) -> Tensor:
         if features is None:
@@ -251,41 +264,28 @@ class TimeSensitiveStrategy(RelationStrategy):
     def forward(self, features: Optional[Tensor] = None) -> Tensor:
         features = self._check_features(features)
         dim = features.shape[2]
-        dense = self.resolved_mode() != "sparse"
-        if dense and fused_enabled() and not features.requires_grad:
-            # One tape node; features that require grad (layers >= 2)
-            # keep the composed chain below.
-            adjacency = time_adjacency_fused(
-                features, self._relation_tensor, self._mask_tensor,
-                self.weight, self.bias)
-        elif dense:
-            # time-correlation: scaled dot-product X(t) X(t)^T / sqrt(n)
-            correlation = (features @ features.swapaxes(-1, -2)) \
-                * (dim ** -0.5)
-            weighted = (correlation * self.relation_importance()
-                        * self._mask_tensor)
-            adjacency = normalize_weighted_adjacency(weighted)
-        else:
+        if self.resolved_mode() == "sparse":
             structure = self._structure()
             # Eq. (5) on the stored edges only: sampled correlation times
             # the shared relation importance, with unit self-loops.
             correlation = sddmm(structure.off, features,
                                 features) * (dim ** -0.5)
-            importance = (Tensor(structure.edge_relations)
-                          * self.weight).sum(axis=-1) + self.bias
             loops = Tensor(np.ones((features.shape[0],
                                     self.relations.num_stocks)))
-            values = concat([correlation * importance, loops],
-                            axis=-1)[:, structure.order]
-            adjacency = normalize_sparse_adjacency(
+            values = concat([correlation * self._edge_values(structure),
+                             loops], axis=-1)[:, structure.order]
+            return normalize_sparse_adjacency(
                 SparseTensor(structure.full, values))
-        cache = adjacency_cache()
-        key = self.step_key(features.shape[0])
-        cache.invalidate(key)
-        # Record detached: the cache entry is for observation/reuse, and
-        # must not pin the emitting forward's autograd graph in memory.
-        cache.put(key, adjacency.detach())
-        return adjacency
+        relation, mask = self._dense_operands()
+        if fused_enabled() and not features.requires_grad:
+            # One tape node; features that require grad (layers >= 2)
+            # keep the composed chain below.
+            return time_adjacency_fused(features, relation, mask,
+                                        self.weight, self.bias)
+        # time-correlation: scaled dot-product X(t) X(t)^T / sqrt(n)
+        correlation = (features @ features.swapaxes(-1, -2)) * (dim ** -0.5)
+        weighted = correlation * self.raw_adjacency() * mask
+        return normalize_weighted_adjacency(weighted)
 
 
 def make_strategy(name: str, relations: RelationMatrix,

@@ -134,7 +134,7 @@ class StreamIngestor:
         with self._lock:
             state = self._states.get(version)
             if state is None:
-                base = engine.dataset.relations.tensor.sum(axis=-1)
+                base = engine.dataset.relations.type_counts()
                 dynamic = DynamicNormalizedAdjacency(base, mode=self.mode)
                 key = ("stream", version, self.mode)
                 adjacency_cache().put(key, dynamic)

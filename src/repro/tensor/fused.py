@@ -440,8 +440,10 @@ def gru_cell_fused(x: Tensor, h_prev: Tensor, w_ih: Tensor, w_hh: Tensor,
         if x.requires_grad:
             x._accumulate(_unbroadcast(dgi @ w_ih.data, x.shape))
         if h_prev.requires_grad:
-            h_prev._accumulate(_unbroadcast(
-                dgh @ w_hh.data + grad * z, h_prev.shape))
+            # The composed tape's order (z·h before h Wᵀ), so a step
+            # output's gradient already in h_prev rounds the same.
+            h_prev._accumulate(_unbroadcast(grad * z, h_prev.shape))
+            h_prev._accumulate(_unbroadcast(dgh @ w_hh.data, h_prev.shape))
         if w_ih.requires_grad:
             w_ih._accumulate(_weight_grad(x.data, dgi, w_ih))
         if w_hh.requires_grad:

@@ -11,7 +11,7 @@ from repro.tensor import Tensor, no_grad
 
 
 def relations(n=6):
-    return RelationMatrix.from_edges(n, ["industry:a", "wiki:b"], [
+    return RelationMatrix(n, ["industry:a", "wiki:b"], [
         (0, 1, 0), (1, 2, 0), (2, 3, 1), (4, 5, 0),
     ])
 
@@ -101,7 +101,7 @@ class TestRTGAT:
         assert model(window(rng)).shape == (6,)
 
     def test_unrelated_stock_isolated(self, rng):
-        rel = RelationMatrix.from_edges(5, ["t"], [(0, 1, 0)])
+        rel = RelationMatrix(5, ["t"], [(0, 1, 0)])
         model = RTGAT(rel, filters=4, n_heads=1, dropout=0.0, rng=rng)
         model.eval()
         x = rng.standard_normal((6, 5, 4))
@@ -133,7 +133,7 @@ class TestSTHANSR:
         assert incidence[:, 1].sum() == 2.0
 
     def test_empty_hypergraph_rejected(self):
-        rel = RelationMatrix.empty(4, ["t"])
+        rel = RelationMatrix(4, ["t"])
         with pytest.raises(ValueError):
             hyperedges_from_relations(rel)
 

@@ -10,7 +10,7 @@ from repro.tensor import Tensor, no_grad
 
 
 def relations(n=6):
-    return RelationMatrix.from_edges(n, ["industry:a", "wiki:b"], [
+    return RelationMatrix(n, ["industry:a", "wiki:b"], [
         (0, 1, 0), (1, 2, 0), (2, 3, 1), (4, 5, 0),
     ])
 
@@ -44,7 +44,7 @@ class TestRelationalGraphConvolution:
     def test_isolated_node_uses_own_features_only(self, rng):
         # A fully isolated stock's output depends only on itself (plus the
         # self-loop of the renormalization trick).
-        rel = RelationMatrix.from_edges(4, ["t"], [(0, 1, 0)])
+        rel = RelationMatrix(4, ["t"], [(0, 1, 0)])
         conv = RelationalGraphConvolution(make_strategy("uniform", rel), 3, 2,
                                           rng=rng)
         x = rng.standard_normal((2, 4, 3))
@@ -139,7 +139,7 @@ class TestRTGCN:
     def test_related_stock_features_influence_scores(self, rng):
         """The relational signal path: perturbing a neighbor changes a
         stock's score; perturbing an unrelated stock does not (1 layer)."""
-        rel = RelationMatrix.from_edges(5, ["t"], [(0, 1, 0)])
+        rel = RelationMatrix(5, ["t"], [(0, 1, 0)])
         model = RTGCN(rel, strategy="uniform", dropout=0.0, rng=rng)
         model.eval()
         x = rng.standard_normal((8, 5, 4))

@@ -12,9 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.data import (SCENARIOS, DayEvents, HypergraphRelations,
-                        StreamingMarket, StreamScenario, flash_crash,
-                        get_scenario, low_vol_grind, sector_rotation)
+from repro.data import (SCENARIOS, DayEvents, StreamingMarket,
+                        StreamScenario, flash_crash, get_scenario,
+                        low_vol_grind, sector_rotation)
 from repro.data.stream import MIN_EDGE_WEIGHT
 from repro.graph import DynamicNormalizedAdjacency
 
@@ -165,30 +165,6 @@ class TestRegimes:
         with pytest.raises(ValueError, match="empty or negative"):
             StreamScenario(name="bad",
                            regimes=(RegimePhase("x", 0, 0),))
-
-
-class TestHypergraphMode:
-    def test_clique_expansion_matches_incidence_product(self):
-        market = StreamingMarket(get_scenario("smoke", hypergraph=True))
-        hyper = market.hypergraph
-        assert hyper is not None
-        clique = hyper.clique_adjacency()
-        np.testing.assert_array_equal(clique, clique.T)
-        assert np.all(np.diag(clique) == 0)
-        # membership in a shared industry <=> nonzero clique entry
-        incidence = hyper.incidence
-        shared = incidence @ incidence.T
-        np.fill_diagonal(shared, 0.0)
-        np.testing.assert_array_equal(clique != 0, shared != 0)
-
-    def test_incidence_is_asymptotically_smaller(self):
-        market = StreamingMarket(get_scenario("smoke", hypergraph=True))
-        stats = market.hypergraph.stats()
-        assert stats["incidence_nnz"] < stats["clique_nnz"]
-        assert stats["compression"] > 1.0
-
-    def test_disabled_by_default(self, smoke_market):
-        assert smoke_market.hypergraph is None
 
 
 class TestSummary:

@@ -13,7 +13,7 @@ from repro.tensor import Tensor, gradcheck
 
 
 def relations(n=5):
-    return RelationMatrix.from_edges(n, ["industry:a", "wiki:b"], [
+    return RelationMatrix(n, ["industry:a", "wiki:b"], [
         (0, 1, 0), (1, 2, 0), (2, 3, 1), (0, 4, 1),
     ])
 

@@ -11,48 +11,56 @@ TYPES = ["industry:tech", "industry:pharma", "wiki:supplier_of"]
 
 
 def sample_matrix():
-    return RelationMatrix.from_edges(6, TYPES, [
+    return RelationMatrix(6, TYPES, [
         (0, 1, 0), (1, 2, 0), (0, 1, 2), (3, 4, 1), (4, 5, 1), (3, 5, 1),
     ])
 
 
 class TestConstruction:
     def test_from_edges_symmetric(self):
-        rel = sample_matrix()
-        assert np.allclose(rel.tensor, rel.tensor.transpose(1, 0, 2))
+        dense = sample_matrix().dense()
+        assert np.array_equal(dense, dense.transpose(1, 0, 2))
+
+    def test_triples_are_canonical(self):
+        rel = RelationMatrix(4, TYPES, [(3, 1, 2), (0, 2, 1),
+                                                   (1, 3, 2), (0, 2, 0)])
+        assert rel.triples.tolist() == [[0, 2, 0], [0, 2, 1], [1, 3, 2]]
+        assert rel.triples.dtype == np.int64
+        assert not rel.triples.flags.writeable
 
     def test_empty(self):
-        rel = RelationMatrix.empty(4, TYPES)
+        rel = RelationMatrix(4, TYPES)
         assert rel.edge_count() == 0
         assert rel.relation_ratio() == 0.0
+        assert rel.triples.shape == (0, 3)
+        assert rel.dense().shape == (4, 4, 3)
 
     def test_self_relation_rejected(self):
         with pytest.raises(ValueError):
-            RelationMatrix.from_edges(3, TYPES, [(1, 1, 0)])
+            RelationMatrix(3, TYPES, [(1, 1, 0)])
 
-    def test_asymmetric_tensor_rejected(self):
-        tensor = np.zeros((3, 3, 1))
-        tensor[0, 1, 0] = 1.0      # missing the mirror entry
-        with pytest.raises(ValueError, match="symmetric"):
-            RelationMatrix(tensor)
+    def test_reversed_pair_is_one_relation(self):
+        forward = RelationMatrix(3, TYPES, [(0, 1, 0)])
+        both = RelationMatrix(3, TYPES, [(1, 0, 0), (0, 1, 0)])
+        assert both.triples.tolist() == forward.triples.tolist()
+        assert both.cache_token() == forward.cache_token()
 
     def test_diagonal_rejected(self):
-        tensor = np.zeros((3, 3, 1))
-        tensor[2, 2, 0] = 1.0
-        with pytest.raises(ValueError, match="diagonal"):
-            RelationMatrix(tensor)
+        with pytest.raises(ValueError, match="self-relations"):
+            RelationMatrix(3, ["t"], np.array([[2, 2, 0]]))
+
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
+    def test_stock_index_out_of_range_rejected(self, pair):
+        with pytest.raises(ValueError, match="stock index"):
+            RelationMatrix(3, TYPES, [(*pair, 0)])
 
     def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError):
-            RelationMatrix(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="triples"):
+            RelationMatrix(3, TYPES, np.zeros((2, 2), dtype=np.int64))
 
     def test_name_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RelationMatrix(np.zeros((3, 3, 2)), ["only-one"])
-
-    def test_default_names_generated(self):
-        rel = RelationMatrix(np.zeros((3, 3, 2)))
-        assert rel.type_names == ["relation_0", "relation_1"]
+        with pytest.raises(ValueError, match="type index"):
+            RelationMatrix(3, ["only-one"], [(0, 1, 1)])
 
 
 class TestStatistics:
@@ -97,6 +105,8 @@ class TestSlicing:
     def test_select_types_subset(self):
         sub = sample_matrix().select_types([0, 1])
         assert sub.type_names == ["industry:tech", "industry:pharma"]
+        with pytest.raises(ValueError, match="repeated"):
+            sample_matrix().select_types([0, 0])
 
     def test_merge_concatenates_types(self):
         a = sample_matrix().select_prefix("industry:")
@@ -111,7 +121,7 @@ class TestSlicing:
             rel.merge(rel)
 
     def test_merge_size_mismatch_rejected(self):
-        small = RelationMatrix.empty(3, ["other:x"])
+        small = RelationMatrix(3, ["other:x"])
         with pytest.raises(ValueError):
             sample_matrix().merge(small)
 
@@ -123,6 +133,26 @@ class TestSlicing:
     def test_subgraph_of_disconnected_nodes(self):
         sub = sample_matrix().subgraph([0, 3])
         assert sub.edge_count() == 0
+
+    def test_subgraph_permutation_matches_dense(self):
+        rel = sample_matrix()
+        perm = [5, 2, 0, 4, 1, 3]
+        assert np.array_equal(rel.subgraph(perm).dense(),
+                              rel.dense()[np.ix_(perm, perm)])
+
+    def test_subgraph_rejects_repeated_stocks(self):
+        with pytest.raises(ValueError, match="distinct"):
+            sample_matrix().subgraph([1, 1])
+
+    def test_slices_match_dense(self):
+        rel = sample_matrix()
+        dense = rel.dense()
+        assert np.array_equal(rel.select_types([2, 0]).dense(),
+                              dense[:, :, [2, 0]])
+        industry, wiki = rel.select_prefix("industry:"), \
+            rel.select_prefix("wiki:")
+        assert np.array_equal(industry.merge(wiki).dense(), dense)
+        assert np.array_equal(rel.type_counts(), dense.sum(axis=-1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,9 +168,10 @@ def test_random_matrices_keep_invariants(n, k, seed):
         i, j = rng.integers(0, n, 2)
         if i != j:
             edges.append((int(i), int(j), int(rng.integers(0, k))))
-    rel = RelationMatrix.from_edges(n, names, edges)
+    rel = RelationMatrix(n, names, edges)
     assert 0.0 <= rel.relation_ratio() <= 1.0
-    assert np.allclose(rel.tensor, rel.tensor.transpose(1, 0, 2))
+    dense = rel.dense()
+    assert np.array_equal(dense, dense.transpose(1, 0, 2))
     assert rel.edge_count() <= n * (n - 1) // 2
     # binary adjacency from multi-hot sums matches pair vectors
     adj = rel.binary_adjacency()

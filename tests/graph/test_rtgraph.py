@@ -10,7 +10,7 @@ from repro.graph import RelationMatrix, RelationTemporalGraph
 
 
 def relations():
-    return RelationMatrix.from_edges(4, ["industry:x"], [
+    return RelationMatrix(4, ["industry:x"], [
         (0, 1, 0), (1, 2, 0),
     ])
 
@@ -90,7 +90,7 @@ class TestNetworkxViews:
 
     def test_cylinder_is_connected_when_relations_connect(self):
         # All stocks in one industry + temporal edges -> G_RT is connected.
-        rel = RelationMatrix.from_edges(3, ["industry:x"], [
+        rel = RelationMatrix(3, ["industry:x"], [
             (0, 1, 0), (1, 2, 0), (0, 2, 0)])
         nxg = RelationTemporalGraph(rel, num_steps=4).to_networkx()
         assert nx.is_connected(nxg)
@@ -108,7 +108,7 @@ def test_grt_size_formula(n, steps, seed):
         i, j = rng.integers(0, n, 2)
         if i != j:
             edges.append((int(i), int(j), 0))
-    rel = RelationMatrix.from_edges(n, ["t0"], edges)
+    rel = RelationMatrix(n, ["t0"], edges)
     g = RelationTemporalGraph(rel, num_steps=steps)
     stats = g.stats()
     assert stats.num_nodes == n * steps

@@ -23,7 +23,7 @@ def fresh_cache():
 
 
 def relations(n=6):
-    return RelationMatrix.from_edges(n, ["industry:a", "wiki:b"], [
+    return RelationMatrix(n, ["industry:a", "wiki:b"], [
         (0, 1, 0), (1, 2, 0), (2, 3, 1), (0, 4, 1), (4, 5, 0),
     ])
 
@@ -190,29 +190,26 @@ class TestAdjacencyCache:
         assert adjacency_cache().hits >= 1
         assert adjacency_cache().misses == misses
 
-    def test_time_sensitive_invalidates_previous_step(self, rng):
-        s = TimeSensitiveStrategy(relations())
-        key = s.step_key(window=2)
-        feats = rng.standard_normal((2, 6, 3))
-        s(Tensor(feats))
-        cached_first = adjacency_cache().get(key)
-        assert cached_first is not None
-        s(Tensor(feats * 2.0))
-        cached_second = adjacency_cache().get(key)
-        assert cached_second is not cached_first
-        assert adjacency_cache().stats()["invalidations"] == 1
+    def test_time_sensitive_forward_keeps_no_per_step_entry(self, rng):
+        """A dense forward stores nothing in the global cache: the cache
+        must not pin a (T, N, N) adjacency stack between forwards."""
+        s = TimeSensitiveStrategy(relations(), graph_mode="dense")
+        s(Tensor(rng.standard_normal((2, 6, 3))))
+        assert len(adjacency_cache()) == 0
 
-    def test_cached_per_step_entry_is_detached(self, rng):
-        s = TimeSensitiveStrategy(relations())
-        s(Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True))
-        cached = adjacency_cache().get(s.step_key(window=2))
-        assert not cached.requires_grad
+    def test_sparse_mode_never_builds_the_dense_tensor(self, rng):
+        s = TimeSensitiveStrategy(relations(), graph_mode="sparse")
+        s(Tensor(rng.standard_normal((2, 6, 3))))
+        assert s._relation_tensor is None and s._mask_tensor is None
+        s.graph_mode = "dense"
+        s(Tensor(rng.standard_normal((2, 6, 3))))
+        assert s._relation_tensor.shape == (6, 6, 2)
 
     def test_cache_token_tracks_content_not_identity(self):
         a, b = relations(), relations()
         assert a is not b
         assert a.cache_token() == b.cache_token()
-        different = RelationMatrix.from_edges(
+        different = RelationMatrix(
             6, ["industry:a", "wiki:b"], [(0, 1, 0), (1, 2, 1)])
         assert different.cache_token() != a.cache_token()
 

@@ -67,14 +67,12 @@ class TestRelationalSignal:
         """RT-GCN with the true relation matrix should beat the same model
         with a degree-matched random relation matrix (the relational signal
         is real, not an artifact of extra parameters)."""
-        from repro.graph import RelationMatrix
         rng = np.random.default_rng(0)
         true_rel = nasdaq_mini.relations
         # Shuffle stock identities to destroy industry/wiki alignment while
         # keeping the graph's degree structure.
         perm = rng.permutation(true_rel.num_stocks)
-        shuffled = RelationMatrix(true_rel.tensor[np.ix_(perm, perm)].copy(),
-                                  list(true_rel.type_names))
+        shuffled = true_rel.subgraph(perm)
 
         config = TrainConfig(window=10, epochs=6, seed=0)
         scores = {}

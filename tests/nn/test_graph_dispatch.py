@@ -138,7 +138,7 @@ class TestGraphConvDispatch:
 
 class TestSetGraphMode:
     def test_walks_nested_modules(self):
-        rel = RelationMatrix.from_edges(5, ["industry:a"],
+        rel = RelationMatrix(5, ["industry:a"],
                                         [(0, 1, 0), (2, 3, 0)])
         model = RTGAT(rel, num_features=3, filters=4, n_heads=2,
                       num_layers=2, rng=np.random.default_rng(0))
@@ -152,7 +152,7 @@ class TestSetGraphMode:
             set_graph_mode(GraphConv(2, 2), "blocked")
 
     def test_rtgat_sparse_matches_dense(self, rng):
-        rel = RelationMatrix.from_edges(8, ["industry:a"], [
+        rel = RelationMatrix(8, ["industry:a"], [
             (0, 1, 0), (1, 2, 0), (3, 4, 0), (5, 6, 0), (6, 7, 0)])
         feats = rng.standard_normal((4, 8, 3))
         outs = []

@@ -371,18 +371,24 @@ class TestGRUCellFused:
     def test_sequence_bitwise_matches_composed(self, rng):
         """One sigmoid over the r and z slab is elementwise the composed
         cell's two per-gate sigmoids: float64 bits agree over a sequence,
-        input gradient included.  Only the final ``h`` is used, so each
-        step's ``h`` gradient is a two-term sum on both paths."""
-        gru = GRU(4, 3, rng=np.random.default_rng(0))
+        input gradient included.  With only the final ``h`` used each
+        step's ``h`` gradient is a two-term sum on both paths; with the
+        per-step outputs in the loss (1 and 2 layers) it has three terms,
+        which the fused VJP accumulates in the composed tape's order."""
         x = _t(rng, (5, 6, 4))
-        leaves = [x] + list(gru.parameters())
+        for layers, use_outputs in [(1, False), (1, True), (2, True)]:
+            gru = GRU(4, 3, num_layers=layers,
+                      rng=np.random.default_rng(0))
+            leaves = [x] + list(gru.parameters())
 
-        def loss():
-            _, h = gru(x)
-            return (h * h).sum()
+            def loss():
+                outputs, h = gru(x)
+                return ((outputs * outputs).sum() + (h * h).sum()
+                        if use_outputs else (h * h).sum())
 
-        (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(loss, leaves)
-        _compare("float64", f_loss, c_loss, f_grads, c_grads)
+            (f_loss, f_grads), (c_loss, c_grads) = _run_both_paths(loss,
+                                                                   leaves)
+            _compare("float64", f_loss, c_loss, f_grads, c_grads)
 
 
 class TestGCNPropagateFused:
@@ -577,16 +583,17 @@ class TestConv1dFused:
 
 
 def _relations(rng, n=7, k=3):
-    """A random symmetric multi-hot relation tensor without self-loops."""
-    tensor = np.zeros((n, n, k))
+    """Random multi-hot relations: each pair carries each type w.p. 1/2."""
     upper = np.triu_indices(n, 1)
-    tensor[upper] = rng.random((len(upper[0]), k)) < 0.5
-    return RelationMatrix(tensor + tensor.transpose(1, 0, 2))
+    pair, kind = np.nonzero(rng.random((len(upper[0]), k)) < 0.5)
+    return RelationMatrix(n, [f"relation_{i}" for i in range(k)],
+                          np.column_stack([upper[0][pair], upper[1][pair],
+                                           kind]))
 
 
 def _adjacency(strategy, features):
-    return time_adjacency_fused(features, strategy._relation_tensor,
-                                strategy._mask_tensor, strategy.weight,
+    relation, mask = strategy._dense_operands()
+    return time_adjacency_fused(features, relation, mask, strategy.weight,
                                 strategy.bias)
 
 

@@ -11,7 +11,7 @@ import pytest
 import repro.nn as nn
 from repro.core import RTGCN, TrainConfig, Trainer
 from repro.data import FeaturePanel, SimulationConfig, StockDataset
-from repro.graph import RelationMatrix, normalize_adjacency
+from repro.graph import normalize_adjacency
 from repro.tensor import Tensor, conv1d
 
 
@@ -65,14 +65,6 @@ class TestGraphContracts:
     def test_non_square_adjacency(self):
         with pytest.raises(ValueError):
             normalize_adjacency(np.ones((2, 3)))
-
-    def test_relation_tensor_nan_visible(self):
-        tensor = np.zeros((3, 3, 1))
-        tensor[0, 1, 0] = tensor[1, 0, 0] = 1.0
-        rel = RelationMatrix(tensor)
-        # NaN injection post-construction is detectable in the adjacency.
-        rel.tensor[0, 1, 0] = np.nan
-        assert np.isnan(rel.tensor).any()
 
 
 class TestModelContracts:

@@ -419,6 +419,18 @@ class TestConfigSurface:
         assert "RT-GCN (T)" in err and "Rank_LSTM" in err   # lists names
         assert "Traceback" not in err and "KeyError" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epoch", "1"],
+        ["serve", "--checkpoint-dir", "ckpt", "--mod", "cluster"],
+        ["db", "query", "--aggr"],
+    ])
+    def test_abbreviated_flag_is_a_usage_error(self, capsys, argv):
+        """A prefix of a longer flag is not that flag, at any depth."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestProfileCommand:
     def test_profile_smoke(self, tmp_path, capsys):
