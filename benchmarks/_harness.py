@@ -25,7 +25,7 @@ import json
 import os
 import subprocess
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -151,19 +151,35 @@ def provenance() -> dict:
                               "MKL_NUM_THREADS")}}
 
 
-def publish_result(name: str, payload: dict) -> Path:
+def publish_result(name: str, payload: dict, *,
+                   dataset: Optional[StockDataset] = None,
+                   window: Optional[int] = None,
+                   dtype_policy: Union[str, Sequence[str]] = "float64"
+                   ) -> Path:
     """Persist machine-readable telemetry as ``results/<name>.json``.
 
     Wraps ``payload`` in the :mod:`repro.obs` schema envelope
     (``schema_version``, ``benchmark``, ``created_at``, bench-scale
     settings) so later runs can regress against these artifacts without
-    parsing the text tables.  Non-finite floats are written as ``null``
-    — never a bare (non-JSON) ``NaN`` token.  With ``RTGCN_BENCH_STORE``
-    set, the same envelope also replaces the store's ``bench:<name>``
-    telemetry row, exactly as rewriting the file replaces it.
+    parsing the text tables.  Every envelope also says what produced
+    it: ``provenance`` (:func:`provenance`), ``dtype_policy`` (the
+    numeric policy, or the list of policies a bench compares) and
+    ``problem`` — the ``market``, ``stocks`` and ``window`` of the
+    ``dataset`` the bench measured (``null`` where none was given).
+    Non-finite floats are written as ``null`` — never a bare (non-JSON)
+    ``NaN`` token.  With ``RTGCN_BENCH_STORE`` set, the same envelope
+    also replaces the store's ``bench:<name>`` telemetry row, exactly as
+    rewriting the file replaces it.
     """
-    envelope = sanitize_payload(
-        bench_envelope(name, payload, settings=bench_settings()))
+    problem = {"market": None if dataset is None else dataset.market,
+               "stocks": None if dataset is None else dataset.num_stocks,
+               "window": window}
+    envelope = sanitize_payload(bench_envelope(
+        name, {"provenance": provenance(),
+               "dtype_policy": (dtype_policy if isinstance(dtype_policy, str)
+                                else list(dtype_policy)),
+               "problem": problem, **payload},
+        settings=bench_settings()))
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(envelope, indent=2, sort_keys=True,

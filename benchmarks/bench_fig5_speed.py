@@ -81,7 +81,7 @@ def test_fig5_speed_comparison(benchmark):
                           "phases": phases}
                    for name, (train_s, test_s, phases)
                    in measurements.items()},
-    })
+    }, dataset=bench_dataset(MARKET), window=20)
 
     # Shape targets: convolutional models beat the LSTM-based rankers.
     assert measurements["Rank_LSTM"][0] > ours_train
@@ -139,7 +139,7 @@ def test_fig5_dense_vs_sparse_propagation():
         "sparse_vs_dense_train_speedup": ratio["train"],
         "checkpoint": checkpoint_telemetry(
             Trainer(factory(np.random.default_rng(0)), dataset, config)),
-    })
+    }, dataset=dataset, window=config.window)
 
     # Both backends must deliver real (non-degenerate) timings.
     for m in measurements.values():
@@ -250,7 +250,8 @@ def test_fig5_fused_dtype_speed():
         "fp32_relative_loss_gap": fp32_gap,
         "arena_steady_state": steady,
         "ops": {name: prof.as_rows() for name, prof in profiles.items()},
-    })
+    }, dataset=dataset, window=base_config.window,
+        dtype_policy=sorted({c.dtype_policy for c in variants.values()}))
 
     # 1. speed: fp32 + fusion clears the acceptance floor.
     assert speedup >= MIN_FUSED_SPEEDUP, (

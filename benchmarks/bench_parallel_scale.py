@@ -37,7 +37,8 @@ import numpy as np
 from repro.parallel import fork_available, run_experiments_parallel
 
 from _harness import (BENCH_EPOCHS, BENCH_MARKETS, BENCH_RUNS, BENCH_SEED,
-                      bench_config, format_table, publish, publish_result)
+                      bench_config, bench_dataset, format_table, publish,
+                      publish_result)
 
 MARKET = BENCH_MARKETS[0]
 MODELS = os.environ.get("RTGCN_BENCH_SWEEP_MODELS",
@@ -198,7 +199,7 @@ def main() -> None:
             "resumed_wall_seconds": demo["resumed_wall_seconds"],
             "resumed_metrics_equal_serial": resume_equal,
         },
-    })
+    }, dataset=bench_dataset(MARKET), window=bench_config().window)
     print("JSON artifact: benchmarks/results/parallel_scale.json")
     if floor_applies and speedup_2w < SPEEDUP_FLOOR_2W:
         raise SystemExit(

@@ -45,12 +45,14 @@ from repro.serve import ServeConfig, build
 from repro.serve.cluster import _worker_execute
 from repro.serve.httpd import json_body
 
-from _harness import (BENCH_SEED, bench_dataset, format_table, provenance,
-                      publish, publish_result)
+from _harness import (BENCH_SEED, bench_dataset, format_table, publish,
+                      publish_result)
 
 SERVE_CLIENTS = int(os.environ.get("RTGCN_BENCH_SERVE_CLIENTS", "8"))
 SERVE_SECONDS = float(os.environ.get("RTGCN_BENCH_SERVE_SECONDS", "3.0"))
 SERVE_MARKET = os.environ.get("RTGCN_BENCH_SERVE_MARKET", "csi-mini")
+#: the served checkpoint's input window T
+SERVE_WINDOW = 10
 SERVE_STORE = os.environ.get("RTGCN_BENCH_STORE", "")
 SLO_P99_MS = float(os.environ.get("RTGCN_BENCH_SERVE_SLO_MS", "50.0"))
 CLUSTER_WORKERS = int(os.environ.get("RTGCN_BENCH_SERVE_WORKERS", "2"))
@@ -66,7 +68,7 @@ MEMO_FLOOR = 3.0
 def train_servable_checkpoint(directory: Path) -> Path:
     """One briefly-trained RT-GCN archive with serving metadata."""
     dataset = bench_dataset(SERVE_MARKET)
-    config = TrainConfig(window=10, epochs=1, max_train_days=20,
+    config = TrainConfig(window=SERVE_WINDOW, epochs=1, max_train_days=20,
                          seed=BENCH_SEED)
     model = RTGCN(dataset.relations, num_features=config.num_features,
                   strategy="time", rng=np.random.default_rng(BENCH_SEED))
@@ -293,7 +295,6 @@ def main() -> None:
         rows, note=note)
     publish("serving", table)
     publish_result("serving", {
-        **provenance(),
         "market": SERVE_MARKET,
         "model": "RT-GCN (T)",
         "clients": SERVE_CLIENTS,
@@ -303,7 +304,7 @@ def main() -> None:
         "max_sustainable_qps": open_loop["max_sustainable_qps"],
         "modes": [memo, forward, http_cluster],
         "open_loop": open_loop,
-    })
+    }, dataset=bench_dataset(SERVE_MARKET), window=SERVE_WINDOW)
     print("JSON artifact: benchmarks/results/serving.json")
 
     assert memo_ratio >= MEMO_FLOOR, (

@@ -131,7 +131,7 @@ def test_sparse_scale_speed_and_parity():
         "max_loss_gap": loss_gap,
         "ops": {mode: prof.as_rows()
                 for mode, prof in profilers.items()},
-    })
+    }, dataset=dataset, window=config.window)
 
     # 1. speed: the CSR path wins by at least 2x at paper sparsity.
     assert speedup >= MIN_SPEEDUP, (
@@ -207,7 +207,8 @@ def test_sparse_scale_fused_fp32_addendum():
         "fp32_relative_loss_gap": fp32_gap,
         "ops": {name: prof.as_rows()
                 for name, prof in profilers.items()},
-    })
+    }, dataset=dataset, window=config.window,
+        dtype_policy=sorted({c.dtype_policy for c in variants.values()}))
 
     # fusion is bitwise-neutral under float64, on the sparse path too
     assert losses["fp64 fused"] == losses["fp64 unfused"]

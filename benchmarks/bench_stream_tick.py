@@ -53,6 +53,8 @@ STREAM_SCENARIO = os.environ.get("RTGCN_BENCH_STREAM_SCENARIO",
                                  "dense-500")
 STREAM_DAYS = int(os.environ.get("RTGCN_BENCH_STREAM_DAYS", "0"))  # 0=all
 SERVE_MARKET = os.environ.get("RTGCN_BENCH_SERVE_MARKET", "csi-mini")
+#: the served checkpoint's input window T
+SERVE_WINDOW = 10
 #: check delta/full equivalence every K days (and always on the last)
 EQUIV_EVERY = 5
 #: aggregate delta-vs-full speedup floor, enforced at default scale
@@ -132,7 +134,7 @@ def run_delta_vs_full() -> dict:
 # ---------------------------------------------------------------------
 def train_servable_checkpoint(directory: Path) -> Path:
     dataset = bench_dataset(SERVE_MARKET)
-    config = TrainConfig(window=10, epochs=1, max_train_days=20,
+    config = TrainConfig(window=SERVE_WINDOW, epochs=1, max_train_days=20,
                          seed=BENCH_SEED)
     model = RTGCN(dataset.relations, num_features=config.num_features,
                   strategy="time", rng=np.random.default_rng(BENCH_SEED))
@@ -228,7 +230,7 @@ def main() -> None:
         "online_replay": online,
         "speedup_floor": SPEEDUP_FLOOR,
         "equivalence_tolerance": EQUIV_TOL,
-    })
+    }, dataset=bench_dataset(SERVE_MARKET), window=SERVE_WINDOW)
     print("JSON artifact: benchmarks/results/stream_tick.json")
 
     # The 3x floor is calibrated for the default dense-500 scenario;

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core.model import RTGCN
+from ..core.model import RTGCN, RTGCN_VARIANTS
 from ..core.trainer import TrainConfig
 from ..data import StockDataset
 from .base import ModulePredictor, StockPredictor, regression_config
@@ -44,9 +44,8 @@ class BaselineSpec:
     make: MakeFn
     adapt_config: Callable[[TrainConfig], TrainConfig] = lambda cfg: cfg
     #: RT-GCN relation strategy ("uniform"/"weight"/"time") for the models
-    #: that are direct RTGCN variants; None for everything else.  This is
-    #: what lets the CLI and repro.serve reconstruct a checkpointed RT-GCN
-    #: without a hand-maintained name→strategy table.
+    #: that are direct RTGCN variants (from
+    #: :data:`repro.core.model.RTGCN_VARIANTS`); None for everything else.
     strategy: Optional[str] = None
 
 
@@ -57,6 +56,11 @@ def _module(factory, category: str, uses_relations: bool) -> MakeFn:
                                category=category,
                                uses_relations=uses_relations)
     return make
+
+
+def _rtgcn(strategy: str) -> MakeFn:
+    return _module(lambda ds, gen: RTGCN(ds.relations, strategy=strategy,
+                                         rng=gen), "Ours", True)
 
 
 def _registry() -> Dict[str, BaselineSpec]:
@@ -121,23 +125,11 @@ def _registry() -> Dict[str, BaselineSpec]:
             "RT-GAT", "RAN", can_rank=True, uses_relations=True,
             make=_module(lambda ds, gen: RTGAT(ds.relations, rng=gen),
                          "RAN", True)),
-        # --- ours -------------------------------------------------------
-        BaselineSpec(
-            "RT-GCN (U)", "Ours", can_rank=True, uses_relations=True,
-            make=_module(lambda ds, gen: RTGCN(ds.relations,
-                                               strategy="uniform", rng=gen),
-                         "Ours", True), strategy="uniform"),
-        BaselineSpec(
-            "RT-GCN (W)", "Ours", can_rank=True, uses_relations=True,
-            make=_module(lambda ds, gen: RTGCN(ds.relations,
-                                               strategy="weight", rng=gen),
-                         "Ours", True), strategy="weight"),
-        BaselineSpec(
-            "RT-GCN (T)", "Ours", can_rank=True, uses_relations=True,
-            make=_module(lambda ds, gen: RTGCN(ds.relations, strategy="time",
-                                               rng=gen), "Ours", True),
-            strategy="time"),
     ]
+    # --- ours -----------------------------------------------------------
+    specs += [BaselineSpec(name, "Ours", can_rank=True, uses_relations=True,
+                           make=_rtgcn(strategy), strategy=strategy)
+              for name, strategy in RTGCN_VARIANTS.items()]
     return {spec.name: spec for spec in specs}
 
 
@@ -165,9 +157,9 @@ def available_baselines() -> List[str]:
 def rtgcn_strategies() -> Dict[str, str]:
     """Registered-name → relation-strategy map for direct RTGCN variants.
 
-    Derived from the specs (never hand-maintained), so a newly registered
-    RT-GCN variant is automatically checkpointable by the CLI and servable
-    by :mod:`repro.serve`.
+    Derived from the specs, which are built from
+    :data:`repro.core.model.RTGCN_VARIANTS` — the table the CLI and
+    :mod:`repro.serve` read to checkpoint and serve an RT-GCN.
     """
     return {name: spec.strategy for name, spec in BASELINE_SPECS.items()
             if spec.strategy is not None}

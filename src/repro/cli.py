@@ -90,12 +90,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .baselines import (available_baselines, get_spec, make_predictor,
-                        rtgcn_strategies)
 from .core import TrainConfig
 from .serve.config import ServeConfig
 from .data import MARKET_SPECS, SCENARIOS, available_markets, load_market
-from .eval import ranking_metrics, run_named_experiment
+
+# The comparison models (repro.baselines), the protocol and metrics
+# (repro.eval) and the experiment store (repro.store) are imported inside
+# the commands that use them, so `serve` and `query` never load them.
 
 #: CLI defaults that intentionally differ from the TrainConfig defaults
 #: (quick runs suit the command line; the dataclass keeps paper values).
@@ -172,6 +173,8 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
 def _model_names(value: str) -> str:
     """argparse type for ``--model``/``--models``: every comma-separated
     name must be registered; the value passes through unchanged."""
+    from .baselines import available_baselines
+
     names = [n.strip() for n in value.split(",") if n.strip()]
     unknown = [n for n in names if n not in available_baselines()]
     if unknown or not names:
@@ -270,6 +273,8 @@ def cmd_markets(_: argparse.Namespace) -> int:
 
 
 def cmd_models(_: argparse.Namespace) -> int:
+    from .baselines import available_baselines, get_spec
+
     print(f"{'model':12s} {'category':8s} {'ranks?':6s} {'relations?':10s} "
           f"{'strategy':8s}")
     for name in available_baselines():
@@ -282,6 +287,10 @@ def cmd_models(_: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .baselines import get_spec, make_predictor
+    from .core.model import RTGCN_VARIANTS
+    from .eval import ranking_metrics
+
     dataset = load_market(args.market, seed=args.seed)
     print(f"dataset: {dataset}")
     config = get_spec(args.model).adapt_config(_config_from_args(args))
@@ -299,12 +308,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                          or args.resume or args.crash_after)
     model = None
     trainer = None
-    strategies = rtgcn_strategies()        # registry-driven, never a table
-    if args.model in strategies:
+    if args.model in RTGCN_VARIANTS:
         # Build the RT-GCN directly so it can be checkpointed/resumed.
         from .core import RTGCN, Trainer
         model = RTGCN(dataset.relations, num_features=config.num_features,
-                      strategy=strategies[args.model],
+                      strategy=RTGCN_VARIANTS[args.model],
                       rng=np.random.default_rng(args.seed))
         trainer = Trainer(model, dataset, config)
         callbacks = []
@@ -367,6 +375,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .eval import run_named_experiment
+
     dataset = load_market(args.market, seed=args.seed)
     print(f"dataset: {dataset}")
     names = [n.strip() for n in args.models.split(",") if n.strip()]
@@ -425,6 +435,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import resource
     from dataclasses import asdict
 
+    from .baselines import get_spec, make_predictor
     from .obs import (MetricsSink, OpProfiler, RunReport, Tracer,
                       new_run_id, use_tracer)
     from .tensor import arena_stats

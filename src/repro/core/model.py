@@ -14,7 +14,7 @@ The Table VII ablations are the same class with one side disabled:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,6 +24,16 @@ from ..nn.module import Module
 from ..tensor import Tensor, ensure_tensor
 from .relational import RelationalGraphConvolution
 from .temporal import TemporalConvolution
+
+#: the paper's three RT-GCN variants (Table IV names) → relation strategy.
+#: The baseline registry builds its RT-GCN specs from this table; the CLI
+#: and :mod:`repro.serve` read it to rebuild a checkpointed RT-GCN
+#: without loading the comparison models.
+RTGCN_VARIANTS: Dict[str, str] = {
+    "RT-GCN (U)": "uniform",
+    "RT-GCN (W)": "weight",
+    "RT-GCN (T)": "time",
+}
 
 
 class RTGCNLayer(Module):

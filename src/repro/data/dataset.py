@@ -44,10 +44,20 @@ class StockDataset:
     # ------------------------------------------------------------------
     @property
     def relations(self) -> RelationMatrix:
-        """Merged relation matrix (industry + wiki when available)."""
+        """Merged relation matrix (industry + wiki when available).
+
+        Merged once per pair of source matrices: repeated reads return
+        the same object (and ``cache_token``), while reassigning
+        ``industry_relations`` or ``wiki_relations`` merges again.
+        """
         if self.wiki_relations is None:
             return self.industry_relations
-        return self.industry_relations.merge(self.wiki_relations.matrix)
+        industry, wiki = self.industry_relations, self.wiki_relations.matrix
+        memo = self.__dict__.get("_merged")
+        if memo is None or memo[0] is not industry or memo[1] is not wiki:
+            memo = (industry, wiki, industry.merge(wiki))
+            self._merged = memo
+        return memo[2]
 
     def relations_of(self, source: str) -> RelationMatrix:
         """Select one relation source: ``"industry"``, ``"wiki"``, ``"all"``."""

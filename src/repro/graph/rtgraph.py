@@ -11,18 +11,21 @@ two edge families:
 The convolutional model operates on dense tensors, so this class is the
 structural view: it drives dataset statistics, visualization in the
 examples, and the property tests that pin down the graph's invariants
-(fixed node/edge counts, the "cylinder" structure).
+(fixed node/edge counts, the "cylinder" structure).  Only the two
+networkx views import networkx, so the model never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .relations import RelationMatrix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Node = Tuple[int, int]  # (time-step t, stock index i)
 
@@ -106,6 +109,8 @@ class RelationTemporalGraph:
 
     def relational_graph(self) -> nx.Graph:
         """One time-slice G_R as a networkx graph (nodes are stock indices)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_stocks))
         names, triples = self.relations.type_names, self.relations.triples
@@ -121,6 +126,8 @@ class RelationTemporalGraph:
         Intended for inspection and plotting of small graphs; the model
         itself never materializes this.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes())
         graph.add_edges_from(self.relational_edges(), kind="relational")

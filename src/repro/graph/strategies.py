@@ -45,8 +45,8 @@ from ..nn.module import Module, Parameter
 from ..nn.random import get_rng
 from ..tensor import Tensor, concat, default_dtype, einsum, ensure_tensor
 from ..tensor.fused import fused_enabled, time_adjacency_fused
-from ..tensor.sparse import (SparsePattern, SparseTensor, resolve_graph_mode,
-                             sddmm, sparse_segment_sum)
+from ..tensor.sparse import (SparsePattern, SparseTensor, load_csr_backend,
+                             resolve_graph_mode, sddmm, sparse_segment_sum)
 from .adjacency import (normalize_adjacency, normalize_sparse_adjacency,
                         normalize_weighted_adjacency)
 from .cache import adjacency_cache
@@ -121,7 +121,8 @@ class RelationStrategy(Module):
         # Dispatch density counts the self-loops the propagation adds.
         self.density = ((2 * relations.edge_count() + n) / (n * n)
                         if n else 1.0)
-        resolve_graph_mode(graph_mode, self.density, density_threshold)
+        if self.resolved_mode() == "sparse":
+            load_csr_backend()
 
     @property
     def num_types(self) -> int:

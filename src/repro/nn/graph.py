@@ -27,8 +27,9 @@ import numpy as np
 
 from ..tensor import Tensor, einsum, ensure_tensor, linear, softmax
 from ..tensor.fused import fused_enabled, gcn_propagate_fused
-from ..tensor.sparse import (SparsePattern, SparseTensor, resolve_graph_mode,
-                             sparse_gather, sparse_segment_sum, spmm)
+from ..tensor.sparse import (SparsePattern, SparseTensor, load_csr_backend,
+                             resolve_graph_mode, sparse_gather,
+                             sparse_segment_sum, spmm)
 from . import init
 from .module import Module, Parameter
 from .random import get_rng
@@ -42,6 +43,8 @@ def set_graph_mode(module: Module, mode: str) -> int:
     Returns the number of modules updated.  This is how
     :class:`~repro.core.trainer.TrainConfig.graph_mode` reaches models
     built by the baseline factories without changing their protocol.
+    Forcing ``"sparse"`` loads the CSR backend here, before the first
+    forward.
     """
     if mode not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown graph mode {mode!r}; expected "
@@ -51,6 +54,8 @@ def set_graph_mode(module: Module, mode: str) -> int:
         if hasattr(submodule, "graph_mode"):
             submodule.graph_mode = mode
             count += 1
+    if mode == "sparse":
+        load_csr_backend()
     return count
 
 
@@ -138,7 +143,9 @@ class GraphAttention(Module):
         self.negative_slope = negative_slope
         self.graph_mode = graph_mode
         self.density_threshold = density_threshold
-        resolve_graph_mode(graph_mode, 1.0, density_threshold)
+        if resolve_graph_mode(graph_mode, 1.0,
+                              density_threshold) == "sparse":
+            load_csr_backend()
         head_dim = out_features // n_heads if concat_heads else out_features
         self.head_dim = head_dim
         gen = rng if rng is not None else get_rng()

@@ -41,6 +41,39 @@ _REQUIRED_KEYS = ("schema_version", "run_id", "kind", "created_at",
                   "config", "epoch_losses", "phases", "ops", "metrics")
 
 
+#: upper bounds (milliseconds) of the latency histogram buckets that
+#: serving telemetry reports and the store's ``slo`` table holds, one
+#: column each (:mod:`repro.store.schema`).  Cumulative Prometheus-style
+#: "le" semantics: ``hist_le_10`` counts the window's requests that
+#: finished in <= 10 ms; ``hist_inf`` counts all of them.
+SLO_HIST_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
+
+
+def slo_hist_columns() -> tuple:
+    """The slo histogram column names, bucket order then ``hist_inf``."""
+    return tuple(f"hist_le_{bound}" for bound in SLO_HIST_BUCKETS_MS
+                 ) + ("hist_inf",)
+
+
+def latency_histogram(samples_seconds) -> dict:
+    """Cumulative bucket counts (column name -> count) for raw samples.
+
+    ``samples_seconds`` are request latencies in seconds (the unit the
+    serving telemetry records); bucket bounds are milliseconds.  The
+    result maps every :func:`slo_hist_columns` name, so it can be fed
+    straight into the slo table — and summed across windows without
+    losing information, unlike pre-computed percentiles.
+    """
+    counts = {column: 0 for column in slo_hist_columns()}
+    for sample in samples_seconds:
+        ms = float(sample) * 1000.0
+        for bound in SLO_HIST_BUCKETS_MS:
+            if ms <= bound:
+                counts[f"hist_le_{bound}"] += 1
+        counts["hist_inf"] += 1
+    return counts
+
+
 def new_run_id(prefix: str = "run") -> str:
     """A unique, sortable run id: ``<prefix>-<utc stamp>-<random>``."""
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())

@@ -12,7 +12,7 @@ into servable models:
   API — architecture hyperparameters are *inferred from parameter shapes*
   (layer count, filter width, temporal kernel), the relation strategy
   comes from the checkpoint's registered model name via
-  :func:`repro.baselines.rtgcn_strategies`, and the market dataset is
+  :data:`repro.core.model.RTGCN_VARIANTS`, and the market dataset is
   regenerated deterministically from the recorded market/seed;
 - loaded models are cached under an LRU policy with an optional byte
   budget (:meth:`warm` pre-faults versions, :meth:`evict` drops them).
@@ -35,7 +35,7 @@ import numpy as np
 from ..ckpt.checkpoint import (CheckpointError, TrainingCheckpoint,
                                load as load_archive, verify_archive)
 from ..ckpt.manager import _CKPT_PATTERN
-from ..core.model import RTGCN
+from ..core.model import RTGCN, RTGCN_VARIANTS
 from ..data import StockDataset, load_market
 from ..nn.module import Module
 
@@ -124,15 +124,14 @@ def resolve_strategy(checkpoint: TrainingCheckpoint,
 
     Preference order: explicit ``model_name`` argument, then the
     ``metadata["model"]`` the CLI stamps at save time — both resolved
-    through the baseline registry so the mapping is never hand-kept here.
+    through :data:`repro.core.model.RTGCN_VARIANTS`, the table the
+    baseline registry builds its RT-GCN specs from.
     A checkpoint with no strategy parameters is unambiguously ``uniform``;
     otherwise an unnamed checkpoint is an error (weight- and
     time-strategy parameters are shape-identical, guessing could serve
     wrong scores).
     """
-    from ..baselines import rtgcn_strategies
-
-    strategies = rtgcn_strategies()
+    strategies = RTGCN_VARIANTS
     name = model_name or checkpoint.metadata.get("model")
     if name is not None:
         if name not in strategies:

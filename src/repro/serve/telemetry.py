@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..obs import RunReport, new_run_id
-from ..store.schema import latency_histogram
+from ..obs.metrics import latency_histogram
 
 #: retain this many most-recent latency / queue-depth samples; serving runs
 #: are unbounded streams, percentiles over a recent window are what a

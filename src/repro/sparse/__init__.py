@@ -1,32 +1,21 @@
-"""Sparse-compute subsystem: CSR storage, kernels, dispatch policy.
-
-The relation graphs of the paper's markets are sparse (<5 % density at
-NASDAQ scale), so the graph stack dispatches its propagation onto CSR
-kernels when the density makes that a win:
+"""CSR storage and in-place CSR edits.
 
 - :class:`CSRMatrix` — plain-data CSR storage with dense/COO converters;
-- :class:`~repro.tensor.sparse.SparseTensor` /
-  :func:`~repro.tensor.sparse.spmm` — the autograd-integrated layer
-  (defined in :mod:`repro.tensor.sparse` so the tensor engine stays
-  dependency-free; re-exported here as the public face);
-- :func:`~repro.tensor.sparse.resolve_graph_mode` — the ``auto`` |
-  ``dense`` | ``sparse`` dispatch rule shared by every graph module (see
-  ``docs/performance.md``).
+- :mod:`~repro.sparse.edit` — row splices and entry edits on CSR arrays.
+
+The autograd-integrated sparse layer (``SparsePattern``,
+``SparseTensor``, ``spmm``, ``sddmm``, the segment ops and the
+``auto`` | ``dense`` | ``sparse`` dispatch rule ``resolve_graph_mode``)
+has one import path, :mod:`repro.tensor.sparse`, so the tensor engine
+stays dependency-free (see ``docs/performance.md``).
 """
 
-from ..tensor.sparse import (DEFAULT_DENSITY_THRESHOLD, GRAPH_MODES,
-                             HAVE_SCIPY, SparsePattern, SparseTensor,
-                             resolve_graph_mode, sddmm, sparse_gather,
-                             sparse_segment_sum, spmm)
 from .csr import CSRMatrix
 from .edit import (csr_delete_entries, csr_drop_rowcol, csr_get_entries,
                    csr_set_entries, row_edit_chunks, splice_rows)
 
 __all__ = [
-    "CSRMatrix", "SparsePattern", "SparseTensor",
-    "spmm", "sddmm", "sparse_gather", "sparse_segment_sum",
-    "resolve_graph_mode", "DEFAULT_DENSITY_THRESHOLD", "GRAPH_MODES",
-    "HAVE_SCIPY",
+    "CSRMatrix",
     "row_edit_chunks", "splice_rows", "csr_set_entries",
     "csr_delete_entries", "csr_get_entries", "csr_drop_rowcol",
 ]

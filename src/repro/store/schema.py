@@ -38,7 +38,8 @@ five relational tables plus a ``meta`` key/value table:
     the observed p50/p95/p99, request/error/shed counts, whether the
     window was within budget, and — since version 3 — a fixed-bucket
     cumulative latency histogram (``hist_le_<ms>`` / ``hist_inf``
-    columns, bounds in :data:`SLO_HIST_BUCKETS_MS`).  Percentile
+    columns, bounds in
+    :data:`repro.obs.metrics.SLO_HIST_BUCKETS_MS`).  Percentile
     *summaries* answer "was this window fast"; the buckets let ``db
     report`` re-derive p50/p90/p99 across *any* aggregation of windows
     (summing histograms is exact; averaging percentiles is not).
@@ -60,6 +61,12 @@ acceptance criterion hold: metrics read back from the store are
 
 from __future__ import annotations
 
+# The slo table's histogram columns are these buckets: serving telemetry
+# fills them without loading the store.  Frozen: changing the bounds
+# would need a schema version bump.
+from ..obs.metrics import (SLO_HIST_BUCKETS_MS, latency_histogram,
+                           slo_hist_columns)
+
 #: bump when a table/column is added, renamed, or removed
 STORE_SCHEMA_VERSION = 3
 
@@ -68,12 +75,6 @@ STORE_SCHEMA_VERSION = 3
 #: ``_ensure_schema`` adds any missing slo histogram columns with
 #: ``ALTER TABLE ADD COLUMN``; a destructive hop would add real SQL.
 MIGRATABLE_VERSIONS = (1, 2)
-
-#: upper bounds (milliseconds) of the slo latency histogram buckets.
-#: Cumulative Prometheus-style "le" semantics: ``hist_le_10`` counts the
-#: window's requests that finished in <= 10 ms; ``hist_inf`` counts all
-#: of them.  Frozen: changing bounds would need a schema version bump.
-SLO_HIST_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 #: executed statement-by-statement by :meth:`ExperimentStore._ensure_schema`
 DDL = """
@@ -178,31 +179,6 @@ CREATE INDEX IF NOT EXISTS idx_slo_source ON slo (source);
 #: every table the DDL creates, in a stable reporting order
 TABLES = ("configs", "runs", "metrics", "epochs", "checkpoints",
           "telemetry", "slo")
-
-
-def slo_hist_columns() -> tuple:
-    """The slo histogram column names, bucket order then ``hist_inf``."""
-    return tuple(f"hist_le_{bound}" for bound in SLO_HIST_BUCKETS_MS
-                 ) + ("hist_inf",)
-
-
-def latency_histogram(samples_seconds) -> dict:
-    """Cumulative bucket counts (column name -> count) for raw samples.
-
-    ``samples_seconds`` are request latencies in seconds (the unit the
-    serving telemetry records); bucket bounds are milliseconds.  The
-    result maps every :func:`slo_hist_columns` name, so it can be fed
-    straight into the slo table — and summed across windows without
-    losing information, unlike pre-computed percentiles.
-    """
-    counts = {column: 0 for column in slo_hist_columns()}
-    for sample in samples_seconds:
-        ms = float(sample) * 1000.0
-        for bound in SLO_HIST_BUCKETS_MS:
-            if ms <= bound:
-                counts[f"hist_le_{bound}"] += 1
-        counts["hist_inf"] += 1
-    return counts
 
 
 def estimate_percentile(hist: dict, q: float) -> float:

@@ -26,25 +26,28 @@ dense run shows ``matmul``, with no double counting.
 SciPy's C-implemented CSR matmul is the kernel backend when available
 (it is a declared dependency); a pure-NumPy ``reduceat`` fallback keeps
 the module importable without it (set :data:`HAVE_SCIPY` to ``False`` in
-tests to exercise the fallback).
+tests to exercise the fallback).  Importing SciPy costs ~0.2 s and a
+dense-mode process never needs it, so this module does not import it:
+:func:`load_csr_backend` does, and a graph module that resolves to the
+sparse path calls it when it is built or switched to sparse — before
+its first forward, and before a server forks its workers.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .tensor import ArrayLike, Tensor, _unbroadcast, ensure_tensor
 
-try:
-    from scipy import sparse as _scipy_sparse
-except ImportError:                                    # pragma: no cover
-    _scipy_sparse = None
-
-#: whether the SciPy CSR kernel backend is active (tests may toggle this
+#: whether the SciPy CSR kernel backend is used (tests may toggle this
 #: module global to force the pure-NumPy fallback)
-HAVE_SCIPY = _scipy_sparse is not None
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
+
+#: ``scipy.sparse`` once :func:`load_csr_backend` has imported it
+_scipy_sparse = None
 
 #: graphs at or below this density default to the sparse path under
 #: ``graph_mode="auto"``.  The mini test markets sit at 13-17 % density
@@ -65,6 +68,23 @@ def resolve_graph_mode(mode: str, density: float,
         return mode
     limit = DEFAULT_DENSITY_THRESHOLD if threshold is None else threshold
     return "sparse" if density <= limit else "dense"
+
+
+def load_csr_backend():
+    """Import SciPy's CSR module on first call; ``None`` without SciPy.
+
+    Call it at a cold point — where a graph module is built or switched
+    to the sparse path — so the import never lands in a forward, and a
+    forked worker inherits the loaded module.  The CSR kernel calls it
+    too, which is a global lookup once the module is loaded.
+    """
+    global _scipy_sparse
+    if not HAVE_SCIPY:
+        return None
+    if _scipy_sparse is None:
+        from scipy import sparse
+        _scipy_sparse = sparse
+    return _scipy_sparse
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +208,10 @@ class SparsePattern:
 def _kernel_2d(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
                dense: np.ndarray, n_rows: int) -> np.ndarray:
     """``CSR(values) @ dense`` for one value vector and one 2-D operand."""
-    if HAVE_SCIPY:
-        matrix = _scipy_sparse.csr_matrix((values, indices, indptr),
-                                          shape=(n_rows, dense.shape[0]))
+    backend = load_csr_backend()
+    if backend is not None:
+        matrix = backend.csr_matrix((values, indices, indptr),
+                                    shape=(n_rows, dense.shape[0]))
         return np.asarray(matrix @ dense)
     out = np.zeros((n_rows, dense.shape[1]), dtype=dense.dtype)
     if indices.size == 0:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (FEATURE_WINDOWS, WARMUP_DAYS, FeaturePanel,
-                        MARKET_SPECS, available_markets, chronological_split,
-                        compute_return_ratios, load_market, moving_average)
+                        MARKET_SPECS, WikiRelationSet, available_markets,
+                        chronological_split, compute_return_ratios,
+                        load_market, moving_average)
 
 
 class TestMovingAverage:
@@ -163,6 +164,27 @@ class TestMarketPresets:
         assert both.num_types == industry.num_types + wiki.num_types
         with pytest.raises(ValueError):
             nasdaq_mini.relations_of("news")
+
+    def test_merged_relations_built_once_per_source_pair(self):
+        ds = load_market("nasdaq-mini", seed=0)
+        first = ds.relations
+        assert ds.relations is first
+        assert ds.relations.cache_token() == first.cache_token()
+        # a reassigned source merges again, with the new relations in it
+        wiki = ds.wiki_relations
+        ds.wiki_relations = WikiRelationSet(
+            wiki.matrix.subgraph(list(range(ds.num_stocks))),
+            wiki.influences)
+        second = ds.relations
+        assert second is not first
+        assert ds.relations is second
+        assert np.array_equal(second.triples, first.triples)
+        ds.wiki_relations = WikiRelationSet(
+            wiki.matrix.select_types([0]), wiki.influences)
+        third = ds.relations
+        assert third is not second
+        assert third.num_types == ds.industry_relations.num_types + 1
+        assert third.cache_token() != first.cache_token()
 
     def test_same_seed_reproducible(self):
         a = load_market("csi-mini", seed=11)

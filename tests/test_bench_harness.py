@@ -4,13 +4,15 @@
 harness module is loaded by file location.  These tests pin the NaN
 contract of ``publish_result`` — degenerate measurements must surface as
 explicit ``null`` + ``degenerate_timing`` flags in the artifact, never as
-bare ``NaN`` tokens (not JSON) and never silently dropped — and the
-optional tee into the experiment store.
+bare ``NaN`` tokens (not JSON) and never silently dropped — the
+provenance, dtype policy and problem size every artifact carries, and
+the optional tee into the experiment store.
 """
 
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,31 @@ class TestPublishJson:
         path = harness.publish_result(
             "t", {"models": {"m": {"train_speedup": float("inf")}}})
         assert _strict_load(path)["models"]["m"]["train_speedup"] is None
+
+
+class TestArtifactProvenance:
+    def test_envelope_says_what_produced_it(self, harness):
+        dataset = harness.bench_dataset("csi-mini")
+        path = harness.publish_result("t", {"x": 1}, dataset=dataset,
+                                      window=10)
+        data = _strict_load(path)
+        assert set(data["provenance"]) == {"git_sha", "git_dirty",
+                                           "cpu_count", "blas_threads"}
+        assert data["provenance"]["cpu_count"] == os.cpu_count()
+        assert data["dtype_policy"] == "float64"
+        assert data["problem"] == {"market": dataset.market,
+                                   "stocks": dataset.num_stocks,
+                                   "window": 10}
+        assert data["x"] == 1
+
+    def test_keys_present_without_a_dataset(self, harness):
+        path = harness.publish_result("t", {"x": 1},
+                                      dtype_policy=["float32", "float64"])
+        data = _strict_load(path)
+        assert "git_sha" in data["provenance"]
+        assert data["dtype_policy"] == ["float32", "float64"]
+        assert data["problem"] == {"market": None, "stocks": None,
+                                   "window": None}
 
 
 class TestSpeedEntry:
