@@ -82,27 +82,31 @@ class GraphConv(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor, adj) -> Tensor:
+    def _checked(self, x: Tensor, adj):
+        """``(x, adj)`` as tensors (a sparse ``adj`` as given), after
+        checking the feature width and the adjacency size."""
         x = ensure_tensor(x)
         if x.shape[-1] != self.in_features:
             raise ValueError(f"expected {self.in_features} input features, "
                              f"got {x.shape[-1]}")
         if isinstance(adj, SparseTensor):
-            if adj.pattern.shape[1] != x.shape[-2]:
-                raise ValueError(f"adjacency size {adj.pattern.shape[1]} "
-                                 f"does not match node count {x.shape[-2]}")
-            if fused_enabled():
-                return gcn_propagate_fused(x, adj, self.weight, self.bias)
-            support = linear(x, self.weight)  # (..., N, C_out)
-            out = spmm(adj, support)          # (..., N, C_out)
+            size = adj.pattern.shape[1]
         else:
             adj = ensure_tensor(adj)
-            if adj.shape[-1] != x.shape[-2]:
-                raise ValueError(f"adjacency size {adj.shape[-1]} does not "
-                                 f"match node count {x.shape[-2]}")
-            if fused_enabled():
-                return gcn_propagate_fused(x, adj, self.weight, self.bias)
-            support = linear(x, self.weight)      # (..., N, C_out)
+            size = adj.shape[-1]
+        if size != x.shape[-2]:
+            raise ValueError(f"adjacency size {size} does not match node "
+                             f"count {x.shape[-2]}")
+        return x, adj
+
+    def forward(self, x: Tensor, adj) -> Tensor:
+        x, adj = self._checked(x, adj)
+        if fused_enabled():
+            return gcn_propagate_fused(x, adj, self.weight, self.bias)
+        support = linear(x, self.weight)          # (..., N, C_out)
+        if isinstance(adj, SparseTensor):
+            out = spmm(adj, support)              # (..., N, C_out)
+        else:
             out = adj @ support                   # (..., N, C_out)
         if self.bias is not None:
             out = out + self.bias

@@ -38,17 +38,43 @@ See ``docs/serving.md`` for the train → checkpoint → serve → query
 lifecycle.
 """
 
-from .client import ClientConnectError, QueryClient, fetch_endpoints
-from .cluster import ClusterError, ServingCluster
+import importlib
+
 from .config import SERVE_MODES, ServeConfig, ServeHandle, build
-from .httpd import ApiError
-from .registry import (RegistryError, ServableModel, build_servable,
-                       infer_rtgcn_architecture, resolve_strategy)
-from .service import ServiceTimeoutError
-from .shm import (SharedWeightReader, SharedWeightStore,
-                  ShmUnavailableError, shm_available)
-from .stream import StreamIngestor
-from .telemetry import ServingTelemetry
+
+#: every other exported name → the submodule that defines it, imported on
+#: first access: importing the config (``repro.cli`` reads its fields for
+#: the ``serve`` flags) loads none of the server stack, asyncio or
+#: multiprocessing.
+_LAZY_EXPORTS = {
+    "ClientConnectError": "client", "QueryClient": "client",
+    "fetch_endpoints": "client",
+    "ClusterError": "cluster", "ServingCluster": "cluster",
+    "ApiError": "httpd",
+    "RegistryError": "registry", "ServableModel": "registry",
+    "build_servable": "registry", "infer_rtgcn_architecture": "registry",
+    "resolve_strategy": "registry",
+    "ServiceTimeoutError": "service",
+    "SharedWeightReader": "shm", "SharedWeightStore": "shm",
+    "ShmUnavailableError": "shm", "shm_available": "shm",
+    "StreamIngestor": "stream",
+    "ServingTelemetry": "telemetry",
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY_EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+
 
 __all__ = [
     # the construction path

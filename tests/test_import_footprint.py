@@ -4,8 +4,9 @@ Every check runs in a fresh interpreter (``subprocess``), because the
 test process itself has long since imported everything.  What is pinned:
 
 - importing the package and its CLI loads no optional dependency (SciPy,
-  networkx), no sqlite3, and none of the comparison-model, evaluation or
-  store stacks;
+  networkx), no sqlite3, no asyncio or multiprocessing, and none of the
+  comparison-model, evaluation, store or server stacks (the CLI reads
+  ``repro.serve.config`` for its flags, nothing else of ``repro.serve``);
 - a dense-mode fit and predict never loads SciPy or networkx;
 - a sparse-mode model loads ``scipy.sparse`` when it is built or switched
   to sparse, before its first forward (so a server loads it before it
@@ -53,7 +54,8 @@ def test_package_and_cli_import_is_lean():
         print(json.dumps(sorted(sys.modules)))
     """)
     heavy = OPTIONAL + ("sqlite3", "repro.eval", "repro.baselines",
-                        "repro.store")
+                        "repro.store", "asyncio", "multiprocessing",
+                        "repro.serve.cluster")
     assert loaded(out, heavy) == []
 
 
