@@ -10,7 +10,9 @@ forwards never share the front-end's GIL.  The two roles:
   *admission control*: a bounded dispatch queue, with overflow answered
   immediately as ``429`` + ``Retry-After`` instead of queueing without
   bound until every client times out.  Worker replies are read on the
-  loop itself (:class:`_WorkerLink`), so a read costs no thread hop.
+  loop itself (:class:`_WorkerLink`), so a read costs no thread hop, and
+  each 200 body is kept for the weight generation it was computed on
+  (:class:`_ReplyMemo`), so a repeated read never leaves the loop.
 - **Workers** — ``cluster_workers`` forked inference processes, reusing
   the PDEATHSIG/respawn plumbing of
   :class:`repro.parallel.WorkerHandle`.  Weights live in **one** shared
@@ -39,6 +41,7 @@ import struct
 import threading
 import time
 import warnings
+from collections import OrderedDict
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlparse
@@ -61,6 +64,10 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 #: ops the forked workers execute; everything else runs in the parent
 WORKER_OPS = ("scores", "top_k", "rank", "delta")
+
+#: byte bound of the front-end's reply memo (:class:`_ReplyMemo`); a
+#: nasdaq-mini ``top_k`` body is ~0.8 KB and a ``scores`` body ~2 KB
+REPLY_MEMO_BYTES = 8 << 20
 
 
 class ClusterError(RuntimeError):
@@ -123,7 +130,8 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
     An answered op is shipped as its finished response body (bytes from
     :func:`json_body`), so the front-end writes it without decoding or
     re-encoding; an error ships a dict the front-end turns into an
-    :class:`ApiError`.
+    :class:`ApiError`.  Every reply frame ends with the generation the
+    reader held, which the front-end's reply memo keys on.
     """
     die_with_parent()
     from .engine import InferenceEngine
@@ -142,12 +150,13 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
         try:
             _sync_weights(reader, engine)
             body = _worker_execute(engine, reader, slot, op, query)
-            response = (req_id, "ok", json_body(body))
+            response = (req_id, "ok", json_body(body), reader.generation)
         except BaseException as exc:        # noqa: BLE001 — ship to parent
             status, code, retry_after = classify_exception(exc)
             response = (req_id, "err",
                         {"status": status, "code": code,
-                         "retry_after": retry_after, "message": str(exc)})
+                         "retry_after": retry_after, "message": str(exc)},
+                        reader.generation)
         try:
             event_conn.send(response)
         except (BrokenPipeError, OSError):  # parent went away mid-reply
@@ -202,14 +211,14 @@ class _WorkerLink:
         return cls(handle, stream, transport)
 
     async def ask(self, req_id: int, op: str, query: Dict[str, str]
-                  ) -> Tuple[str, Any]:
-        """Send one task and await its ``(kind, body)`` reply."""
+                  ) -> Tuple[str, Any, int]:
+        """Send one task and await its ``(kind, body, generation)`` reply."""
         try:
             self.handle.task_w.send((req_id, op, query))
             while True:
                 event = await self._recv()
                 if event[0] == req_id:
-                    return event[1], event[2]
+                    return event[1:]
                 # stale reply from a request whose waiters gave up
         except (EOFError, OSError) as exc:
             raise _WorkerDied(
@@ -224,6 +233,57 @@ class _WorkerLink:
 
     def close(self) -> None:
         self._transport.close()
+
+
+class _ReplyMemo:
+    """Worker 200 bodies by request key, each for one weight generation.
+
+    Within a generation a ranking read has exactly one answer: the
+    workers score a day from the weights and that day's feature window
+    alone.  An entry is served only while its generation is the one the
+    front-end has published, so a hot swap or ``/v1/reload`` retires
+    every entry by that comparison alone; a lookup drops the stale entry
+    it finds.  The bodies are bounded by ``max_bytes`` and evicted least
+    recently used first.  Only the event loop touches it.
+    """
+
+    def __init__(self, max_bytes: int = REPLY_MEMO_BYTES):
+        self.max_bytes = int(max_bytes)
+        self.nbytes = 0
+        self.hits = self.misses = self.evictions = 0
+        self._entries: "OrderedDict[Any, Tuple[int, bytes]]" = OrderedDict()
+
+    def get(self, key, generation: int) -> Optional[bytes]:
+        """The body kept for ``key`` on ``generation``, else ``None``."""
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] == generation:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry[1]
+        if entry is not None:           # an older generation's answer
+            self._drop(key)
+        self.misses += 1
+        return None
+
+    def put(self, key, generation: int, body: bytes) -> None:
+        """Keep ``body``, then evict from the cold end past the bound."""
+        if key in self._entries:
+            self._drop(key)
+        if len(body) > self.max_bytes:
+            return
+        self._entries[key] = (generation, body)
+        self.nbytes += len(body)
+        while self.nbytes > self.max_bytes:
+            self._drop(next(iter(self._entries)))
+            self.evictions += 1
+
+    def _drop(self, key) -> None:
+        self.nbytes -= len(self._entries.pop(key)[1])
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": len(self._entries), "bytes": self.nbytes,
+                "max_bytes": self.max_bytes, "hits": self.hits,
+                "misses": self.misses, "evictions": self.evictions}
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +317,7 @@ class ServingCluster:
         self._fingerprint = None
         self._servable = None
         self._req_ids = itertools.count()
+        self._memo = _ReplyMemo()
         self._started = False
         self._closed = False
         self._ready = threading.Event()
@@ -503,6 +564,7 @@ class ServingCluster:
                 "generation": self._shm_store.current_generation(),
                 "swaps": self.swaps,
                 "frontend_cpu_s": time.process_time(),
+                "memo": self._memo.stats(),
             }
             return snap
         if op == "reload":
@@ -518,10 +580,14 @@ class ServingCluster:
 
     async def _dispatch_worker(self, op: str, query: Dict[str, str]
                                ) -> bytes:
-        """Admit one ranking request to the worker queue (or shed it).
+        """Answer one ranking request from the reply memo, or admit it.
 
-        The workers hold only the served version's weights, so a
-        ``?version=`` naming any other checkpoint is a 404.
+        The refusals come first: the workers hold only the served
+        version's weights, so a ``?version=`` naming any other
+        checkpoint is a 404, and with no live worker every read is a
+        503, memoised or not.  A body kept for the published generation
+        is then answered on the loop; anything else joins the worker
+        queue (or is shed).
         """
         version = query.get("version")
         if version is not None and version != self._servable.version:
@@ -533,9 +599,14 @@ class ServingCluster:
             self.telemetry.record_error(op)
             raise ApiError(503, "unavailable", "no inference workers "
                            "alive", retry_after=self.config.retry_after_s)
+        key = (op, tuple(sorted(query.items())))
+        body = self._memo.get(key, self._shm_store.current_generation())
+        if body is not None:
+            self.telemetry.record_request(op, time.perf_counter() - start,
+                                          queue_depth=self._queue.qsize())
+            return body
         # Identical in-flight requests share one queue entry and one
         # worker reply; each waiter has its own future and deadline.
-        key = (op, tuple(sorted(query.items())))
         waiters = self._inflight.get(key)
         if waiters is None:
             try:
@@ -573,8 +644,16 @@ class ServingCluster:
                 f"{self.config.default_timeout:g}s deadline",
                 retry_after=self.config.retry_after_s))
 
-    def _settle(self, key, outcome: Any) -> None:
-        """Hand one outcome (a body or an exception) to every waiter."""
+    def _settle(self, key, outcome: Any,
+                generation: Optional[int]) -> None:
+        """Hand one outcome (a body or an exception) to every waiter.
+
+        A body computed on the published ``generation`` is also kept in
+        the reply memo; one that lands after a newer publish is not.
+        """
+        if (isinstance(outcome, bytes)
+                and generation == self._shm_store.current_generation()):
+            self._memo.put(key, generation, outcome)
         for waiter in self._inflight.pop(key):
             if waiter.done():               # its deadline passed
                 continue
@@ -599,9 +678,10 @@ class ServingCluster:
                 if all(w.done() for w in self._inflight[key]):
                     del self._inflight[key]  # every waiter timed out
                     continue
+                generation = None
                 try:
-                    kind, body = await link.ask(next(self._req_ids), op,
-                                                query)
+                    kind, body, generation = await link.ask(
+                        next(self._req_ids), op, query)
                 except _WorkerDied as exc:
                     link.close()
                     await loop.run_in_executor(None, self._respawn, slot)
@@ -629,7 +709,7 @@ class ServingCluster:
                         body = ApiError(body["status"], body["code"],
                                         body["message"],
                                         retry_after=body.get("retry_after"))
-                self._settle(key, body)
+                self._settle(key, body, generation)
         finally:
             link.close()
 

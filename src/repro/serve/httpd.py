@@ -118,8 +118,13 @@ def method_not_allowed(method: str
 
 
 def parse_query(query_string: str) -> Dict[str, str]:
-    return {key: values[-1]
-            for key, values in parse_qs(query_string).items()}
+    """The query's parameters, the last value of each name winning.
+
+    Blank (``day=``) and bare (``day``) parameters are kept as ``""``,
+    so :func:`query_int` refuses them instead of serving the default.
+    """
+    return {key: values[-1] for key, values in
+            parse_qs(query_string, keep_blank_values=True).items()}
 
 
 def query_int(query: Dict[str, str], name: str) -> Optional[int]:

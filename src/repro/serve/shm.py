@@ -349,7 +349,13 @@ class SharedWeightStore:
         return published
 
     def current_generation(self) -> int:
-        return self.control.current()
+        """The generation last published.
+
+        The store is the control slot's only writer, so this is its own
+        count, not a read of the slot; it moves just before the slot
+        flips.
+        """
+        return max(self._next_generation - 1, 0)
 
     def _retire(self, head: int) -> None:
         for generation in sorted(self._generations):

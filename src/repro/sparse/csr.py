@@ -3,8 +3,7 @@
 :class:`CSRMatrix` is the autograd-free face of the sparse subsystem —
 row-pointer / column-index / value storage with converters from dense and
 COO layouts.  It shares the kernel backend of :mod:`repro.tensor.sparse`
-(SciPy's C CSR matmul when available, a NumPy ``reduceat`` fallback
-otherwise), and bridges into the autograd layer via
+(SciPy's C CSR matmul), and bridges into the autograd layer via
 :meth:`CSRMatrix.to_sparse_tensor`.
 """
 

@@ -23,11 +23,9 @@ backward, never a composition of profiled ``Tensor`` ops.  That keeps the
 op profiler's attribution clean — a sparse run shows ``spmm`` where a
 dense run shows ``matmul``, with no double counting.
 
-SciPy's C-implemented CSR matmul is the kernel backend when available
-(it is a declared dependency); a pure-NumPy ``reduceat`` fallback keeps
-the module importable without it (set :data:`HAVE_SCIPY` to ``False`` in
-tests to exercise the fallback).  Importing SciPy costs ~0.2 s and a
-dense-mode process never needs it, so this module does not import it:
+SciPy's C-implemented CSR matmul is the kernel backend (SciPy is a
+declared dependency).  Importing SciPy costs ~0.2 s and a dense-mode
+process never needs it, so this module does not import it:
 :func:`load_csr_backend` does, and a graph module that resolves to the
 sparse path calls it when it is built or switched to sparse — before
 its first forward, and before a server forks its workers.
@@ -35,16 +33,11 @@ its first forward, and before a server forks its workers.
 
 from __future__ import annotations
 
-import importlib.util
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .tensor import ArrayLike, Tensor, _unbroadcast, ensure_tensor
-
-#: whether the SciPy CSR kernel backend is used (tests may toggle this
-#: module global to force the pure-NumPy fallback)
-HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 #: ``scipy.sparse`` once :func:`load_csr_backend` has imported it
 _scipy_sparse = None
@@ -71,7 +64,7 @@ def resolve_graph_mode(mode: str, density: float,
 
 
 def load_csr_backend():
-    """Import SciPy's CSR module on first call; ``None`` without SciPy.
+    """Import SciPy's CSR module on first call and return it.
 
     Call it at a cold point — where a graph module is built or switched
     to the sparse path — so the import never lands in a forward, and a
@@ -79,8 +72,6 @@ def load_csr_backend():
     too, which is a global lookup once the module is loaded.
     """
     global _scipy_sparse
-    if not HAVE_SCIPY:
-        return None
     if _scipy_sparse is None:
         from scipy import sparse
         _scipy_sparse = sparse
@@ -208,18 +199,9 @@ class SparsePattern:
 def _kernel_2d(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
                dense: np.ndarray, n_rows: int) -> np.ndarray:
     """``CSR(values) @ dense`` for one value vector and one 2-D operand."""
-    backend = load_csr_backend()
-    if backend is not None:
-        matrix = backend.csr_matrix((values, indices, indptr),
-                                    shape=(n_rows, dense.shape[0]))
-        return np.asarray(matrix @ dense)
-    out = np.zeros((n_rows, dense.shape[1]), dtype=dense.dtype)
-    if indices.size == 0:
-        return out
-    gathered = dense[indices] * values[:, None]
-    nonempty = np.flatnonzero(np.diff(indptr) > 0)
-    out[nonempty] = np.add.reduceat(gathered, indptr[:-1][nonempty], axis=0)
-    return out
+    matrix = load_csr_backend().csr_matrix((values, indices, indptr),
+                                           shape=(n_rows, dense.shape[0]))
+    return np.asarray(matrix @ dense)
 
 
 def _csr_matmul(pattern: SparsePattern, values: np.ndarray,

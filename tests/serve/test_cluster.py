@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
 import struct
 import threading
@@ -24,6 +25,8 @@ from repro.parallel.pool import WorkerHandle
 from repro.serve import ServeConfig, build
 from repro.serve import cluster as cluster_module
 from repro.serve.cluster import _WorkerDied, _WorkerLink
+from repro.serve.engine import InferenceEngine
+from repro.serve.registry import build_servable
 from repro.serve.shm import shm_available
 
 pytestmark = pytest.mark.skipif(
@@ -134,10 +137,12 @@ class TestClusterServing:
         # it hits the closed pipe, respawns the worker, and requeues, so
         # every request is still answered.  Health is served by the
         # parent, so keep sending ranking requests until the dead proxy
-        # drew one and respawned.
+        # drew one and respawned.  Each read is a key the reply memo has
+        # not seen (the worker ignores ``k`` on ``scores``), so every one
+        # is queued for a worker.
         deadline_alive = False
-        for _ in range(50):
-            status, _, body = _get(cluster, "/v1/scores")
+        for attempt in range(50):
+            status, _, body = _get(cluster, f"/v1/scores?k={attempt}")
             assert status == 200 and body["scores"]
             _, _, health = _get(cluster, "/v1/health")
             if health["alive"] == 2:
@@ -249,6 +254,170 @@ class TestClusterAdmission:
 
 
 # ----------------------------------------------------------------------
+# reply memo: a repeated read is answered on the front-end's loop
+# ----------------------------------------------------------------------
+def _get_raw(handle, path):
+    host, port = handle.address
+    with urllib.request.urlopen(f"http://{host}:{port}{path}",
+                                timeout=60) as resp:
+        return resp.status, resp.read()
+
+
+def _reload(handle):
+    host, port = handle.address
+    request = urllib.request.Request(f"http://{host}:{port}/v1/reload",
+                                     data=b"", method="POST")
+    with urllib.request.urlopen(request, timeout=60) as resp:
+        return json.load(resp)
+
+
+def _memo_stats(handle):
+    return _get(handle, "/v1/stats")[2]["cluster"]["memo"]
+
+
+@pytest.fixture
+def solo(serving_ckpt_dir, tmp_path):
+    """A one-worker cluster on a private copy of the trained checkpoint."""
+    directory = tmp_path / "ckpts"
+    directory.mkdir()
+    shutil.copy(serving_ckpt_dir / "best.npz", directory / "best.npz")
+    handle = build(ServeConfig(checkpoint_dir=str(directory), port=0,
+                               cluster_workers=1, watch_interval_s=0.2))
+    handle.start()
+    yield handle, directory
+    handle.close()
+
+
+class TestReplyMemo:
+    def test_repeat_is_the_first_reply_without_a_worker(self, stopped):
+        handle, pid = stopped
+        os.kill(pid, signal.SIGCONT)
+        first = _get_raw(handle, "/v1/top_k?k=7")
+        os.kill(pid, signal.SIGSTOP)
+        hits = _memo_stats(handle)["hits"]
+        # a read queued for the stopped worker would be a 503 in 0.5 s
+        assert _get_raw(handle, "/v1/top_k?k=7") == first
+        assert first[0] == 200
+        assert _memo_stats(handle)["hits"] == hits + 1
+
+    @pytest.mark.parametrize("promote", ["reload", "watcher"])
+    def test_new_generation_retires_the_memo(self, solo, serving_ckpt_dir,
+                                             promote):
+        handle, directory = solo
+        first = _get(handle, "/v1/scores")[2]
+        assert first["generation"] == 0
+        assert _get(handle, "/v1/scores")[2] == first
+        staged = directory / "staged.tmp"
+        shutil.copy(serving_ckpt_dir / "ckpt-e0000-b000000.npz", staged)
+        os.replace(staged, directory / "best.npz")
+        if promote == "reload":
+            assert _reload(handle)["generation"] > 0
+        deadline = time.monotonic() + 30
+        body = first
+        while body["generation"] == 0:
+            assert time.monotonic() < deadline, "no new generation served"
+            time.sleep(0.05)
+            body = _get(handle, "/v1/scores")[2]
+        engine = InferenceEngine(build_servable(directory / "best.npz",
+                                                "best"))
+        expected = engine.scores(None)
+        got = np.array([body["scores"][s]
+                        for s in engine.dataset.universe.symbols])
+        assert np.array_equal(got, expected)
+        assert body["scores"] != first["scores"]
+
+    def test_old_generation_reply_is_handed_out_not_kept(
+            self, serving_ckpt_dir, monkeypatch):
+        # a worker that never adopts a new generation (as after a
+        # refused adoption) answers every read on generation 0
+        monkeypatch.setattr(cluster_module, "_sync_weights",
+                            lambda reader, engine: False)
+        handle = build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
+                                   port=0, cluster_workers=1,
+                                   watch_interval_s=30.0))
+        handle.start()
+        try:
+            assert _get(handle, "/v1/top_k?k=4")[2]["generation"] == 0
+            assert _reload(handle)["generation"] == 1
+            before = _memo_stats(handle)
+            for _ in range(2):
+                status, _, body = _get(handle, "/v1/top_k?k=4")
+                assert (status, body["generation"], body["k"]) == (200, 0, 4)
+            after = _memo_stats(handle)
+        finally:
+            handle.close()
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + 2
+        assert after["entries"] == before["entries"] - 1
+
+    def test_bad_request_is_never_kept(self, solo):
+        handle, _ = solo
+        before = _memo_stats(handle)
+        for _ in range(2):
+            status, _, body = _get_error(handle, "/v1/top_k?k=0")
+            assert (status, body["error"]["code"]) == (400, "bad_request")
+        after = _memo_stats(handle)
+        assert (after["entries"], after["hits"]) \
+            == (before["entries"], before["hits"])
+        assert after["misses"] == before["misses"] + 2
+
+    def test_timeout_is_never_kept(self, stopped):
+        handle, pid = stopped
+        entries = _memo_stats(handle)["entries"]
+        status, _, body = _get_error(handle, "/v1/top_k?k=2")
+        assert (status, body["error"]["code"]) == (503, "timeout")
+        assert _memo_stats(handle)["entries"] == entries
+        os.kill(pid, signal.SIGCONT)
+        status, _, body = _get(handle, "/v1/top_k?k=2")
+        assert (status, body["k"]) == (200, 2)
+
+    def test_refusals_run_before_the_lookup(self, solo):
+        handle, _ = solo
+        path = "/v1/top_k?k=3&version=best"
+        assert _get(handle, path)[0] == _get(handle, path)[0] == 200
+        assert _memo_stats(handle)["hits"] == 1
+        status, _, body = _get_error(handle, "/v1/top_k?version=nope&k=3")
+        assert (status, body["error"]["code"]) == (404, "not_found")
+        worker = handle.cluster._handles[0].process
+        worker.kill()
+        worker.join(timeout=10)
+        status, _, body = _get_error(handle, path)
+        assert (status, body["error"]["code"]) == (503, "unavailable")
+        assert _memo_stats(handle)["hits"] == 1
+
+    def test_hits_count_as_reads_in_stats(self, solo):
+        handle, _ = solo
+        assert _get(handle, "/v1/top_k?k=5")[0] == 200
+        before = _get(handle, "/v1/stats")[2]
+        for _ in range(5):
+            assert _get(handle, "/v1/top_k?k=5")[0] == 200
+        after = _get(handle, "/v1/stats")[2]
+        assert (after["cluster"]["memo"]["hits"]
+                - before["cluster"]["memo"]["hits"]) == 5
+        top_k = (after["per_op"]["top_k"], before["per_op"]["top_k"])
+        assert top_k[0]["requests"] - top_k[1]["requests"] == 5
+        assert (top_k[0]["latency_seconds"]["count"]
+                - top_k[1]["latency_seconds"]["count"]) == 5
+
+    def test_evicts_least_recently_used_past_its_byte_bound(self):
+        memo = cluster_module._ReplyMemo(max_bytes=30)
+        for key in "abc":
+            memo.put(key, 0, key.encode() * 10)
+        assert memo.get("a", 0) == b"a" * 10    # now the most recent
+        memo.put("d", 0, b"d" * 10)
+        assert memo.get("b", 0) is None
+        assert [memo.get(key, 0) for key in "acd"] \
+            == [b"a" * 10, b"c" * 10, b"d" * 10]
+        memo.put("e", 0, b"e" * 25)             # evicts a, c and d
+        assert memo.stats() == {"entries": 1, "bytes": 25, "max_bytes": 30,
+                                "hits": 4, "misses": 1, "evictions": 4}
+        memo.put("f", 0, b"f" * 31)             # larger than the bound
+        assert memo.get("f", 0) is None
+        assert memo.get("e", 1) is None         # another generation's
+        assert memo.stats()["entries"] == 0
+
+
+# ----------------------------------------------------------------------
 # transport: the front-end's link against a real pipe and a fake worker
 # ----------------------------------------------------------------------
 def _write_all(fd, data):
@@ -296,32 +465,32 @@ class TestWorkerLink:
 
         def worker(slot, task_conn, event_conn):
             req_id, _, _ = task_conn.recv()
-            event_conn.send((req_id, "ok", body))
+            event_conn.send((req_id, "ok", body, 0))
 
         reply, _ = _ask_fake(worker)
-        assert reply == ("ok", body)
+        assert reply == ("ok", body, 0)
 
     def test_half_written_reply_does_not_block_the_loop(self):
         body = b"x" * 200_000
 
         def worker(slot, task_conn, event_conn):
             req_id, _, _ = task_conn.recv()
-            frame = _frame((req_id, "ok", body))
+            frame = _frame((req_id, "ok", body, 0))
             _write_all(event_conn.fileno(), frame[:1000])
             time.sleep(0.5)
             _write_all(event_conn.fileno(), frame[1000:])
 
         reply, ticks = _ask_fake(worker)
-        assert reply == ("ok", body)
+        assert reply == ("ok", body, 0)
         assert ticks >= 20, ticks        # the loop ran while it waited
 
     def test_stale_reply_is_skipped(self):
         def worker(slot, task_conn, event_conn):
             req_id, _, _ = task_conn.recv()
-            event_conn.send((req_id - 1, "ok", b"stale"))
-            event_conn.send((req_id, "ok", b"fresh"))
+            event_conn.send((req_id - 1, "ok", b"stale", 0))
+            event_conn.send((req_id, "ok", b"fresh", 0))
 
-        assert _ask_fake(worker)[0] == ("ok", b"fresh")
+        assert _ask_fake(worker)[0] == ("ok", b"fresh", 0)
 
     def test_half_frame_then_exit_is_a_dead_worker(self):
         def worker(slot, task_conn, event_conn):

@@ -121,11 +121,13 @@ def test_bad_content_length_is_bad_request(handles, topology, length):
 @TOPOLOGIES
 @pytest.mark.parametrize("query", [
     "k=1_0", "k=%2B5", "k=+5", "k=%207%20", "k=%D9%A1%D9%A0", "k=5.0",
-    "day=1_00", "day=%EF%BC%91%EF%BC%90%EF%BC%90",
+    "day=1_00", "day=%EF%BC%91%EF%BC%90%EF%BC%90", "day=", "k=", "day",
 ], ids=["underscore", "plus", "plus-as-space", "padded", "arabic-indic",
-        "float", "day-underscore", "day-fullwidth"])
+        "float", "day-underscore", "day-fullwidth", "day-blank", "k-blank",
+        "day-bare"])
 def test_non_ascii_integer_query_is_bad_request(handles, topology, query):
-    # int() accepts every one of these; the wire grammar is -?[0-9]+.
+    # int() accepts every one of these but the blank ones, which would
+    # otherwise fall back to the default; the wire grammar is -?[0-9]+.
     status, payload = _fetch(handles[topology], f"/v1/top_k?{query}")
     assert status == 400, payload
     assert payload["error"]["code"] == "bad_request"

@@ -1,15 +1,13 @@
 """Tests for the CSR sparse primitives (`repro.tensor.sparse` / `repro.sparse`).
 
-Covers the ISSUE-2 tentpole requirements: spmm gradcheck for *both* the
-dense-input and edge-value gradients, CSR conversion round-trips, the
-empty-row / isolated-node edge case, and backend parity between the SciPy
-kernel and the pure-NumPy fallback.
+Covers spmm gradcheck for *both* the dense-input and edge-value
+gradients, CSR conversion round-trips, and the empty-row / isolated-node
+edge case.
 """
 
 import numpy as np
 import pytest
 
-import repro.tensor.sparse as sparse_module
 from repro.sparse import CSRMatrix
 from repro.tensor import Tensor, gradcheck
 from repro.tensor.sparse import (DEFAULT_DENSITY_THRESHOLD, SparsePattern,
@@ -26,11 +24,9 @@ def graph(rng):
     return dense
 
 
-@pytest.fixture(params=["scipy", "numpy"])
-def kernel_backend(request, monkeypatch):
-    """Run the test under both kernel backends."""
-    if request.param == "numpy":
-        monkeypatch.setattr(sparse_module, "HAVE_SCIPY", False)
+@pytest.fixture(params=["scipy"])
+def kernel_backend(request):
+    """The CSR kernel backend: SciPy's, the only one (keeps test ids)."""
     return request.param
 
 
